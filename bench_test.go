@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"repro/internal/bh"
-	"repro/internal/cl"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/gpusim"
@@ -33,22 +32,11 @@ var benchSizes = []int{1024, 4096, 8192}
 
 func newPlan(b *testing.B, name string) core.Plan {
 	b.Helper()
-	ctx, err := cl.NewContext(gpusim.HD5850())
+	plan, err := core.NewPlanByName(name) // default device: the HD5850
 	if err != nil {
 		b.Fatal(err)
 	}
-	switch name {
-	case "i-parallel":
-		return core.NewIParallel(ctx, pp.DefaultParams())
-	case "j-parallel":
-		return core.NewJParallel(ctx, pp.DefaultParams())
-	case "w-parallel":
-		return core.NewWParallel(ctx, bh.DefaultOptions())
-	case "jw-parallel":
-		return core.NewJWParallel(ctx, bh.DefaultOptions())
-	}
-	b.Fatalf("unknown plan %s", name)
-	return nil
+	return plan
 }
 
 func benchPlan(b *testing.B, name string, n int, metric func(*core.RunProfile) (float64, string)) {
@@ -290,11 +278,7 @@ func BenchmarkAblationGroupCap(b *testing.B) {
 	const n = 4096
 	for _, gc := range []int{8, 24, 64} {
 		b.Run(fmt.Sprintf("groupCap=%d", gc), func(b *testing.B) {
-			ctx, err := cl.NewContext(gpusim.HD5850())
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan := core.NewJWParallel(ctx, bh.DefaultOptions())
+			plan := newPlan(b, "jw-parallel").(*core.JWParallel)
 			plan.GroupCap = gc
 			sys := ic.Plummer(n, 1)
 			var last *core.RunProfile
@@ -324,11 +308,7 @@ func BenchmarkAblationLDSStaging(b *testing.B) {
 			name = "unstaged"
 		}
 		b.Run(name, func(b *testing.B) {
-			ctx, err := cl.NewContext(gpusim.HD5850())
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan := core.NewJWParallel(ctx, bh.DefaultOptions())
+			plan := newPlan(b, "jw-parallel").(*core.JWParallel)
 			plan.DisableLDSStaging = disable
 			sys := ic.Plummer(n, 1)
 			var last *core.RunProfile

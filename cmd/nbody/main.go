@@ -118,7 +118,7 @@ func main() {
 	opt.Theta = float32(*theta)
 	opt.Eps = float32(*eps)
 
-	eng, pe, err := makeEngine(*plan, params, opt, o, device.Config(), *hostWork)
+	eng, pe, err := makeEngine(*plan, params, opt, o, device.Config())
 	if err != nil {
 		fail(err)
 	}
@@ -303,7 +303,7 @@ func writeTrace(path string, o *obs.Obs, pe *core.Engine, dev gpusim.DeviceConfi
 	return f.Close()
 }
 
-func makeEngine(name string, params pp.Params, opt bh.Options, o *obs.Obs, dev gpusim.DeviceConfig, hostWorkers int) (sim.Engine, *core.Engine, error) {
+func makeEngine(name string, params pp.Params, opt bh.Options, o *obs.Obs, dev gpusim.DeviceConfig) (sim.Engine, *core.Engine, error) {
 	opt.Trace = o.Tracer() // spans the CPU treecode engines too
 	switch name {
 	case "cpu-pp":
@@ -319,7 +319,6 @@ func makeEngine(name string, params pp.Params, opt bh.Options, o *obs.Obs, dev g
 		core.WithDevice(dev),
 		core.WithPPParams(params),
 		core.WithBHOptions(opt),
-		core.WithHostWorkers(hostWorkers),
 		core.WithObs(o))
 	if err != nil {
 		return nil, nil, err

@@ -4,10 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/bh"
-	"repro/internal/cl"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/gpusim"
 	"repro/internal/ic"
 	"repro/internal/integrate"
 	"repro/internal/pp"
@@ -36,22 +34,7 @@ func TestEndToEndSimulationEveryEngine(t *testing.T) {
 	for _, name := range []string{"i-parallel", "j-parallel", "w-parallel", "jw-parallel"} {
 		name := name
 		engines[name] = func() (sim.Engine, error) {
-			ctx, err := cl.NewContext(gpusim.HD5850())
-			if err != nil {
-				return nil, err
-			}
-			var plan core.Plan
-			switch name {
-			case "i-parallel":
-				plan = core.NewIParallel(ctx, params)
-			case "j-parallel":
-				plan = core.NewJParallel(ctx, params)
-			case "w-parallel":
-				plan = core.NewWParallel(ctx, opt)
-			case "jw-parallel":
-				plan = core.NewJWParallel(ctx, opt)
-			}
-			return core.NewEngine(plan), nil
+			return core.NewEngineByName(name, core.WithPPParams(params), core.WithBHOptions(opt))
 		}
 	}
 
@@ -100,12 +83,12 @@ func TestGPUPlansTrackCPUTrajectories(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, err := cl.NewContext(gpusim.HD5850())
+	eng, err := core.NewEngineByName("i-parallel", core.WithPPParams(params))
 	if err != nil {
 		t.Fatal(err)
 	}
 	gpu := initial.Clone()
-	if _, err := sim.Run(gpu, core.NewEngine(core.NewIParallel(ctx, params)), &integrate.Leapfrog{},
+	if _, err := sim.Run(gpu, eng, &integrate.Leapfrog{},
 		sim.Config{DT: dt, Steps: steps, G: 1, Eps: 0.05}); err != nil {
 		t.Fatal(err)
 	}

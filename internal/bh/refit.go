@@ -23,53 +23,11 @@ import (
 func (t *Tree) Refit() {
 	sp := t.Opt.Trace.Start("tree refit", "host").Track("bh").Arg("nodes", len(t.Nodes))
 	defer sp.End()
-	t.refit(0)
+	// The build's own bottom-up summary pass, rerun over the kept topology.
+	t.summarize(0)
 	if t.quads != nil {
 		t.computeQuad(0)
 	}
-}
-
-func (t *Tree) refit(ni int32) {
-	nd := &t.Nodes[ni]
-	if nd.Leaf {
-		var mx, my, mz, m float64
-		bounds := vec.Empty()
-		for _, bi := range t.Index[nd.First : nd.First+nd.Count] {
-			p := t.sys.Pos[bi]
-			w := float64(t.sys.Mass[bi])
-			mx += w * float64(p.X)
-			my += w * float64(p.Y)
-			mz += w * float64(p.Z)
-			m += w
-			bounds = bounds.Extend(p)
-		}
-		nd.Mass = float32(m)
-		if m > 0 {
-			nd.COM = vec.V3{X: float32(mx / m), Y: float32(my / m), Z: float32(mz / m)}
-		}
-		nd.Bounds = bounds
-		return
-	}
-	var mx, my, mz, m float64
-	bounds := vec.Empty()
-	for _, ci := range nd.Children {
-		if ci == NoChild {
-			continue
-		}
-		t.refit(ci)
-		c := &t.Nodes[ci]
-		w := float64(c.Mass)
-		mx += w * float64(c.COM.X)
-		my += w * float64(c.COM.Y)
-		mz += w * float64(c.COM.Z)
-		m += w
-		bounds = bounds.Union(c.Bounds)
-	}
-	nd.Mass = float32(m)
-	if m > 0 {
-		nd.COM = vec.V3{X: float32(mx / m), Y: float32(my / m), Z: float32(mz / m)}
-	}
-	nd.Bounds = bounds
 }
 
 // Drift returns the maximum distance any body has moved outside its

@@ -1,28 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bh"
 	"repro/internal/body"
 	"repro/internal/gpusim"
 )
-
-// HostPolicy is the refit-vs-rebuild hook of the host-side pipeline. The
-// default (zero value) rebuilds the octree from scratch on every evaluation
-// — the historical behaviour, under which the modelled pipeline and all
-// plan-equivalence goldens are bitwise unchanged. A RebuildEvery of k > 1
-// rebuilds only every k-th evaluation and refits in between: the topology
-// and Index permutation are kept, summaries (COM/mass/bounds) are refreshed
-// bottom-up, and the walk lists are reconstructed against the refitted
-// summaries — trading a small force-accuracy drift for a host stage that is
-// one bottom-up pass instead of a full sort+build.
-type HostPolicy struct {
-	// RebuildEvery is the full-rebuild cadence; <= 1 rebuilds every step.
-	RebuildEvery int
-}
 
 // bhDescStride is the int32 stride of one walk descriptor:
 // [bodyFirst, bodyCount, listBase, listLen].
@@ -41,10 +28,6 @@ type bhHostData struct {
 
 	tree  *bh.Tree
 	walks *bh.WalkSet
-
-	// sinceRebuild counts evaluations since the last full rebuild, for the
-	// HostPolicy refit cadence.
-	sinceRebuild int
 
 	// wallSeconds is the measured wall-clock cost of the most recent build
 	// call (tree + walks + flatten), exported as RunProfile.HostBuildSeconds.
@@ -77,24 +60,13 @@ type bhHostData struct {
 	listSeconds float64
 }
 
-// buildBHHostData runs the CPU half of the pipeline into a fresh host-data
-// value. It is the unpooled compatibility path; plans hold a bhHostData and
-// call build on it directly so steps reuse memory.
-func buildBHHostData(s *body.System, opt bh.Options, groupCap, maxBodies int, host gpusim.HostModel) (*bhHostData, error) {
-	d := &bhHostData{}
-	if err := d.build(s, opt, groupCap, maxBodies, host, HostPolicy{}, 0); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// build runs the CPU half of the pipeline: build (or, per policy, refit)
-// the octree, derive group walks with at most groupCap bodies (sub-split so
-// no walk exceeds maxBodies, the kernel's lane count), and flatten
-// everything into the pooled buffers. workers caps the build parallelism
-// (0 = GOMAXPROCS). The measured wall-clock of the whole call lands in
-// d.wallSeconds.
-func (d *bhHostData) build(s *body.System, opt bh.Options, groupCap, maxBodies int, host gpusim.HostModel, policy HostPolicy, workers int) error {
+// build runs the CPU half of the pipeline: build the octree, derive group
+// walks with at most groupCap bodies (sub-split so no walk exceeds
+// maxBodies, the kernel's lane count), and flatten everything into the
+// pooled buffers. The builder's Workers caps the build parallelism (0 =
+// GOMAXPROCS). The measured wall-clock of the whole call lands in
+// d.wallSeconds; the modelled seconds come from gpusim.PaperHost.
+func (d *bhHostData) build(s *body.System, opt bh.Options, groupCap, maxBodies int) error {
 	if groupCap > maxBodies {
 		groupCap = maxBodies
 	}
@@ -107,27 +79,14 @@ func (d *bhHostData) build(s *body.System, opt bh.Options, groupCap, maxBodies i
 		defer sp.End()
 	}
 	n := s.N()
-	d.builder.Workers = workers
+	host := gpusim.PaperHost()
 
-	// Refit-vs-rebuild policy: a refit is only sound against the same
-	// system the current topology was built over; anything else (first
-	// call, a new job on a pooled engine, a resize) forces a rebuild.
-	every := policy.RebuildEvery
-	canRefit := every > 1 && d.tree != nil && d.tree.System() == s &&
-		len(d.tree.Index) == n && d.sinceRebuild+1 < every
-	if canRefit {
-		d.tree.Refit()
-		d.sinceRebuild++
-		d.treeSeconds = host.TreeRefitSeconds(n)
-	} else {
-		tree, err := d.builder.BuildInto(s, opt)
-		if err != nil {
-			return err
-		}
-		d.tree = tree
-		d.sinceRebuild = 0
-		d.treeSeconds = host.TreeBuildSeconds(n)
+	tree, err := d.builder.BuildInto(s, opt)
+	if err != nil {
+		return err
 	}
+	d.tree = tree
+	d.treeSeconds = host.TreeBuildSeconds(n)
 	walks, err := d.builder.BuildWalksInto(d.tree, groupCap)
 	if err != nil {
 		return err
@@ -136,10 +95,7 @@ func (d *bhHostData) build(s *body.System, opt bh.Options, groupCap, maxBodies i
 	d.numNodes = len(d.tree.Nodes)
 
 	// Sources: cells then bodies.
-	if cap(d.srcF4) < 4*(d.numNodes+n) {
-		d.srcF4 = make([]float32, 4*(d.numNodes+n))
-	}
-	d.srcF4 = d.srcF4[:4*(d.numNodes+n)]
+	d.srcF4 = resize(d.srcF4, 4*(d.numNodes+n))
 	for i := range d.tree.Nodes {
 		nd := &d.tree.Nodes[i]
 		d.srcF4[4*i+0] = nd.COM.X
@@ -156,10 +112,7 @@ func (d *bhHostData) build(s *body.System, opt bh.Options, groupCap, maxBodies i
 	}
 
 	// Bodies in tree order.
-	if cap(d.posmSorted) < 4*n {
-		d.posmSorted = make([]float32, 4*n)
-	}
-	d.posmSorted = d.posmSorted[:4*n]
+	d.posmSorted = resize(d.posmSorted, 4*n)
 	for slot, bi := range d.tree.Index {
 		d.posmSorted[4*slot+0] = s.Pos[bi].X
 		d.posmSorted[4*slot+1] = s.Pos[bi].Y
@@ -209,48 +162,95 @@ func (d *bhHostData) unpermuteAcc(s *body.System, accSorted []float32) {
 	}
 }
 
-// balanceQueues partitions walk ids into numQueues queues with a
-// longest-processing-time greedy heuristic on list length x body count, and
-// returns the concatenated queue contents plus per-queue [base,len] pairs.
-// This is the jw-parallel load balancing: a work-group drains its whole
-// queue, so queues must carry near-equal total work.
-func (d *bhHostData) balanceQueues(numQueues int) (queueWalks []int32, queueDesc []int32) {
-	type wcost struct {
-		id   int32
-		cost int64
-	}
-	ws := make([]wcost, d.numWalks)
-	for i := 0; i < d.numWalks; i++ {
-		cnt := int64(d.desc[i*bhDescStride+1])
-		llen := int64(d.desc[i*bhDescStride+3])
-		ws[i] = wcost{id: int32(i), cost: llen * maxI64(cnt, 1)}
-	}
-	sort.SliceStable(ws, func(a, b int) bool { return ws[a].cost > ws[b].cost })
-
-	queues := make([][]int32, numQueues)
-	load := make([]int64, numQueues)
-	for _, w := range ws {
-		q := 0
-		for k := 1; k < numQueues; k++ {
-			if load[k] < load[q] {
-				q = k
-			}
-		}
-		queues[q] = append(queues[q], w.id)
-		load[q] += w.cost
-	}
-
-	queueDesc = make([]int32, 0, 2*numQueues)
-	for _, q := range queues {
-		queueDesc = append(queueDesc, int32(len(queueWalks)), int32(len(q)))
-		queueWalks = append(queueWalks, q...)
-	}
-	return queueWalks, queueDesc
+// walkCost is the LPT weight of walk i: list length x body count, the
+// interactions its work-group evaluates.
+func (d *bhHostData) walkCost(i int32) int64 {
+	cnt := int64(d.desc[i*bhDescStride+1])
+	llen := int64(d.desc[i*bhDescStride+3])
+	return llen * max(cnt, 1)
 }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
+// lpt is the longest-processing-time walk balancer — the jw-parallel load
+// balancing, and MultiJW's device sharding — with its scratch pooled, so a
+// steady-state call allocates nothing. The slices balance returns alias the
+// pool and are valid until its next call.
+type lpt struct {
+	order []lptWalk
+	load  []int64
+	walks []int32
+	desc  []int32
+}
+
+type lptWalk struct {
+	id, queue int32
+	cost      int64
+}
+
+// balance partitions walk ids (nil means every walk of d) into k queues:
+// walks in decreasing cost (ties keep their order in ids) each go to the
+// least-loaded queue, the lowest index among equals. A work-group drains a
+// whole queue, so queues must carry near-equal total work. It returns the
+// concatenated queue contents, each queue in assignment order, and the
+// per-queue [base, len] pairs.
+func (b *lpt) balance(d *bhHostData, ids []int32, k int) (queueWalks, queueDesc []int32) {
+	b.order = b.order[:0]
+	if ids == nil {
+		for i := 0; i < d.numWalks; i++ {
+			b.order = append(b.order, lptWalk{id: int32(i), cost: d.walkCost(int32(i))})
+		}
+	} else {
+		for _, id := range ids {
+			b.order = append(b.order, lptWalk{id: id, cost: d.walkCost(id)})
+		}
 	}
-	return b
+	slices.SortStableFunc(b.order, func(x, y lptWalk) int { return cmp.Compare(y.cost, x.cost) })
+
+	b.load = resize(b.load, k)
+	clear(b.load)
+	b.desc = resize(b.desc, 2*k)
+	clear(b.desc)
+	for i := range b.order {
+		q := 0
+		for j := 1; j < k; j++ {
+			if b.load[j] < b.load[q] {
+				q = j
+			}
+		}
+		b.order[i].queue = int32(q)
+		b.load[q] += b.order[i].cost
+		b.desc[2*q+1]++
+	}
+	// Lay the queues out back to back, then scatter each walk into its
+	// queue's next slot (load is reused as the per-queue cursor).
+	var base int32
+	for q := 0; q < k; q++ {
+		b.desc[2*q] = base
+		b.load[q] = int64(base)
+		base += b.desc[2*q+1]
+	}
+	b.walks = resize(b.walks, len(b.order))
+	for _, w := range b.order {
+		b.walks[b.load[w.queue]] = w.id
+		b.load[w.queue]++
+	}
+	return b.walks, b.desc
+}
+
+// queueCount returns how many walk queues (work-groups) to launch for walks
+// walks on a device: target when positive, otherwise enough to fill every
+// compute unit, clamped to [1, walks].
+func queueCount(cfg gpusim.DeviceConfig, target, walks int) int {
+	if target <= 0 {
+		target = cfg.ComputeUnits * cfg.MaxGroupsPerCU
+	}
+	return max(1, min(target, walks))
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -36,8 +36,8 @@ type CLPlanPP struct {
 	hostOut []float32
 }
 
-// NewCLPlanPP compiles the requested kernel source on the context.
-func NewCLPlanPP(ctx *cl.Context, params pp.Params, variant string) (*CLPlanPP, error) {
+// newCLPlanPP compiles the requested kernel source on the context.
+func newCLPlanPP(ctx *cl.Context, params pp.Params, variant string) (*CLPlanPP, error) {
 	var src string
 	var groupSize int
 	switch variant {

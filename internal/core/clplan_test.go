@@ -16,7 +16,7 @@ func TestCLPlanPPMatchesGoPlans(t *testing.T) {
 
 	for _, variant := range []string{"iparallel", "jparallel"} {
 		ctx := newHD5850Context(t)
-		clPlan, err := NewCLPlanPP(ctx, params, variant)
+		clPlan, err := newCLPlanPP(ctx, params, variant)
 		if err != nil {
 			t.Fatalf("%s: %v", variant, err)
 		}
@@ -38,9 +38,9 @@ func TestCLPlanPPMatchesGoPlans(t *testing.T) {
 		var ref Plan
 		ctx2 := newHD5850Context(t)
 		if variant == "iparallel" {
-			ref = NewIParallel(ctx2, params)
+			ref = planOn[*IParallel](t, ctx2, "i-parallel", WithPPParams(params))
 		} else {
-			ref = NewJParallel(ctx2, params)
+			ref = planOn[*JParallel](t, ctx2, "j-parallel", WithPPParams(params))
 		}
 		want := sys.Clone()
 		if _, err := ref.Accel(want); err != nil {
@@ -56,7 +56,7 @@ func TestCLPlanPPMatchesGoPlans(t *testing.T) {
 
 func TestCLPlanReusesBuffers(t *testing.T) {
 	ctx := newHD5850Context(t)
-	plan, err := NewCLPlanPP(ctx, pp.DefaultParams(), "iparallel")
+	plan, err := newCLPlanPP(ctx, pp.DefaultParams(), "iparallel")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +75,10 @@ func TestCLPlanReusesBuffers(t *testing.T) {
 
 func TestCLPlanValidation(t *testing.T) {
 	ctx := newHD5850Context(t)
-	if _, err := NewCLPlanPP(ctx, pp.DefaultParams(), "nosuch"); err == nil {
+	if _, err := newCLPlanPP(ctx, pp.DefaultParams(), "nosuch"); err == nil {
 		t.Error("unknown variant accepted")
 	}
-	plan, err := NewCLPlanPP(ctx, pp.DefaultParams(), "iparallel")
+	plan, err := newCLPlanPP(ctx, pp.DefaultParams(), "iparallel")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +95,13 @@ func TestWParallelCLMatchesGoPlanBitwise(t *testing.T) {
 	sys := ic.Plummer(n, 51)
 
 	ctxGo := newHD5850Context(t)
-	goPlan := NewWParallel(ctxGo, opt)
+	goPlan := planOn[*WParallel](t, ctxGo, "w-parallel", WithBHOptions(opt))
 	goSys := sys.Clone()
 	if _, err := goPlan.Accel(goSys); err != nil {
 		t.Fatal(err)
 	}
 
-	d, err := buildBHHostData(sys.Clone(), opt, goPlan.GroupCap, goPlan.LocalSize, goPlan.Host)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := hostData(t, sys.Clone(), opt, goPlan.GroupCap, goPlan.LocalSize)
 
 	ctx := newHD5850Context(t)
 	prog, err := ctx.CreateProgram(WParallelCL)

@@ -18,19 +18,17 @@ func TestJWParallelCLMatchesGoPlanBitwise(t *testing.T) {
 
 	// Go plan result.
 	ctxGo := newHD5850Context(t)
-	goPlan := NewJWParallel(ctxGo, opt)
+	goPlan := planOn[*JWParallel](t, ctxGo, "jw-parallel", WithBHOptions(opt))
 	goSys := sys.Clone()
 	if _, err := goPlan.Accel(goSys); err != nil {
 		t.Fatal(err)
 	}
 
 	// Host pipeline, shared with the Go plan.
-	d, err := buildBHHostData(sys.Clone(), opt, goPlan.GroupCap, goPlan.LocalSize, goPlan.Host)
-	if err != nil {
-		t.Fatal(err)
-	}
-	numQueues := goPlan.numQueues(d.numWalks)
-	queueWalks, queueDesc := d.balanceQueues(numQueues)
+	d := hostData(t, sys.Clone(), opt, goPlan.GroupCap, goPlan.LocalSize)
+	numQueues := queueCount(ctxGo.Device().Config, goPlan.QueueTarget, d.numWalks)
+	var queues lpt
+	queueWalks, queueDesc := queues.balance(d, nil, numQueues)
 
 	// OpenCL C kernel through the host API.
 	ctx := newHD5850Context(t)

@@ -21,7 +21,7 @@ func TestIParallelCLMatchesGoPlanBitwise(t *testing.T) {
 
 	// Go plan.
 	ctxGo := newHD5850Context(t)
-	goPlan := NewIParallel(ctxGo, params)
+	goPlan := planOn[*IParallel](t, ctxGo, "i-parallel", WithPPParams(params))
 	goSys := sys.Clone()
 	if _, err := goPlan.Accel(goSys); err != nil {
 		t.Fatal(err)

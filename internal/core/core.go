@@ -130,10 +130,7 @@ func roundUp(n, q int) int {
 // exert no force thanks to zero mass).
 func flattenPadded(s *body.System, nPad int, dst []float32) []float32 {
 	need := 4 * nPad
-	if cap(dst) < need {
-		dst = make([]float32, need)
-	}
-	dst = dst[:need]
+	dst = resize(dst, need)
 	for i := range dst {
 		dst[i] = 0
 	}

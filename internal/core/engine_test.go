@@ -1,19 +1,17 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/bh"
 	"repro/internal/gpusim"
 	"repro/internal/ic"
 	"repro/internal/pipeline"
-	"repro/internal/pp"
 )
 
 func TestEngineAccumulates(t *testing.T) {
 	ctx := newHD5850Context(t)
-	eng := NewEngine(NewJWParallel(ctx, bh.DefaultOptions()))
+	eng := NewEngine(planOn[*JWParallel](t, ctx, "jw-parallel"))
 	sys := ic.Plummer(512, 1)
 
 	if eng.Name() != "jw-parallel" {
@@ -45,50 +43,13 @@ func TestEngineAccumulates(t *testing.T) {
 	}
 }
 
-func TestJWSmallNFallback(t *testing.T) {
-	ctx := newHD5850Context(t)
-	plan := NewJWParallel(ctx, bh.DefaultOptions())
-	plan.SmallNCutoff = 1024
-
-	// Below the cutoff: the j-parallel kernel computes the exact direct sum.
-	small := ic.Plummer(300, 5)
-	ref := small.Clone()
-	pp.Scalar(ref, pp.Params{G: plan.Opt.G, Eps: plan.Opt.Eps})
-	prof, err := plan.Accel(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(prof.Plan, "fallback") {
-		t.Errorf("plan label %q does not mark the fallback", prof.Plan)
-	}
-	if prof.Interactions < 300*300 {
-		t.Errorf("fallback interactions %d below N^2", prof.Interactions)
-	}
-	if e := pp.MaxRelError(ref.Acc, small.Acc, 1e-3); e > 2e-4 {
-		t.Errorf("fallback accuracy: %g", e)
-	}
-
-	// Above the cutoff: the treecode pipeline runs (sub-quadratic work).
-	large := ic.Plummer(4096, 5)
-	prof, err = plan.Accel(large)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(prof.Plan, "fallback") {
-		t.Error("fallback used above the cutoff")
-	}
-	if prof.Interactions >= 4096*4096 {
-		t.Errorf("treecode interactions %d not sub-quadratic", prof.Interactions)
-	}
-}
-
 func TestWParallelExactVsWalkEval(t *testing.T) {
 	opt := bh.DefaultOptions()
 	n := 2048
 	sys := ic.Plummer(n, 77)
 
 	ctx := newHD5850Context(t)
-	plan := NewWParallel(ctx, opt)
+	plan := planOn[*WParallel](t, ctx, "w-parallel", WithBHOptions(opt))
 	gpu := sys.Clone()
 	if _, err := plan.Accel(gpu); err != nil {
 		t.Fatalf("w Accel: %v", err)
@@ -115,7 +76,7 @@ func TestWParallelExactVsWalkEval(t *testing.T) {
 // the same N (no unbounded allocation growth in a stepping loop).
 func TestPlanBufferReuse(t *testing.T) {
 	ctx := newHD5850Context(t)
-	plan := NewIParallel(ctx, pp.DefaultParams())
+	plan := planOn[*IParallel](t, ctx, "i-parallel")
 	sys := ic.Plummer(256, 1)
 	if _, err := plan.Accel(sys); err != nil {
 		t.Fatal(err)
@@ -130,7 +91,7 @@ func TestPlanBufferReuse(t *testing.T) {
 		t.Errorf("i-parallel grew allocations: %d -> %d", before, after)
 	}
 
-	jw := NewJWParallel(ctx, bh.DefaultOptions())
+	jw := planOn[*JWParallel](t, ctx, "jw-parallel")
 	if _, err := jw.Accel(sys); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +117,7 @@ func TestStagingAblationDirection(t *testing.T) {
 	var kernel [2]float64
 	for i, disable := range []bool{false, true} {
 		ctx := newHD5850Context(t)
-		plan := NewJWParallel(ctx, bh.DefaultOptions())
+		plan := planOn[*JWParallel](t, ctx, "jw-parallel")
 		plan.DisableLDSStaging = disable
 		prof, err := plan.Accel(sys.Clone())
 		if err != nil {
@@ -173,12 +134,10 @@ func TestStagingAblationDirection(t *testing.T) {
 func TestQueueBalance(t *testing.T) {
 	sys := ic.Plummer(8192, 3)
 	opt := bh.DefaultOptions()
-	d, err := buildBHHostData(sys, opt, 24, 64, gpusim.PaperHost())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := hostData(t, sys, opt, 24, 64)
 	const q = 16
-	queueWalks, queueDesc := d.balanceQueues(q)
+	var queues lpt
+	queueWalks, queueDesc := queues.balance(d, nil, q)
 	if len(queueDesc) != 2*q {
 		t.Fatalf("queueDesc length %d", len(queueDesc))
 	}
@@ -227,7 +186,7 @@ func TestEngineDualAccounting(t *testing.T) {
 	const evals = 6
 
 	run := func(mode pipeline.Mode) *Engine {
-		eng := NewEngine(NewJWParallel(newHD5850Context(t), bh.DefaultOptions()))
+		eng := NewEngine(planOn[*JWParallel](t, newHD5850Context(t), "jw-parallel"))
 		eng.Mode = mode
 		for i := 0; i < evals; i++ {
 			if _, err := eng.Accel(sys); err != nil {
@@ -276,7 +235,7 @@ func TestEngineDualAccounting(t *testing.T) {
 // overlapped), bounded by the span cap.
 func TestEngineScheduleRetention(t *testing.T) {
 	sys := ic.Plummer(1024, 2)
-	eng := NewEngine(NewIParallel(newHD5850Context(t), pp.DefaultParams()))
+	eng := NewEngine(planOn[*IParallel](t, newHD5850Context(t), "i-parallel"))
 
 	// Retention off by default: nothing retained.
 	if _, err := eng.Accel(sys); err != nil {
@@ -343,7 +302,7 @@ func TestEngineScheduleRetention(t *testing.T) {
 // re-pays the fill; windows compose to the full executed timeline.
 func TestEngineBatchWindows(t *testing.T) {
 	sys := ic.Plummer(2048, 4)
-	eng := NewEngine(NewJWParallel(newHD5850Context(t), bh.DefaultOptions()))
+	eng := NewEngine(planOn[*JWParallel](t, newHD5850Context(t), "jw-parallel"))
 	eng.Mode = pipeline.Overlap
 
 	var windows float64
@@ -361,5 +320,33 @@ func TestEngineBatchWindows(t *testing.T) {
 	}
 	if eng.ExecutedSeconds() >= eng.TotalSeconds() {
 		t.Errorf("windowed executed %g not below serial %g", eng.ExecutedSeconds(), eng.TotalSeconds())
+	}
+}
+
+// TestEngineSetHostWorkersReachesBuilders checks the one host-workers route:
+// Engine.SetHostWorkers caps the pooled tree builder of every BH plan, and
+// an evaluation keeps the cap.
+func TestEngineSetHostWorkersReachesBuilders(t *testing.T) {
+	for _, name := range []string{"w-parallel", "jw-parallel", "jw-parallel-x2"} {
+		eng, err := NewEngineByName(name, WithDevice(gpusim.TestDevice()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetHostWorkers(1)
+		if _, err := eng.Accel(ic.Plummer(512, 4)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var d *bhHostData
+		switch p := eng.Plan.(type) {
+		case *WParallel:
+			d = &p.data
+		case *JWParallel:
+			d = &p.data
+		case *MultiJW:
+			d = &p.data
+		}
+		if d == nil || d.builder.Workers != 1 {
+			t.Errorf("%s: builder workers not capped to 1", name)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/body"
-	"repro/internal/cl"
 	"repro/internal/gpusim"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -33,16 +32,6 @@ type IParallel struct {
 	hostOut []float32
 }
 
-// NewIParallel creates the plan on the given context.
-//
-// Deprecated: new code should construct plans through NewPlanByName
-// ("i-parallel"), which carries device, tuning, telemetry and kernel-check
-// configuration in one option list. This constructor remains as a thin
-// wrapper for existing callers.
-func NewIParallel(ctx *cl.Context, params pp.Params) *IParallel {
-	return &IParallel{Params: params, GroupSize: 256, planBase: newPlanBase(ctx)}
-}
-
 // Name implements Plan.
 func (p *IParallel) Name() string { return "i-parallel" }
 
@@ -60,10 +49,7 @@ func (p *IParallel) ensureBuffers(n int) {
 	p.nPad = nPad
 	p.ensure("iparallel.posm", &p.bufPosM, 4*nPad, true)
 	p.ensure("iparallel.acc", &p.bufAcc, 4*nPad, true)
-	if cap(p.hostOut) < 4*nPad {
-		p.hostOut = make([]float32, 4*nPad)
-	}
-	p.hostOut = p.hostOut[:4*nPad]
+	p.hostOut = resize(p.hostOut, 4*nPad)
 }
 
 // kernel returns the i-parallel force kernel bound to the current buffers.

@@ -97,20 +97,11 @@ func (u *jerkUnit) ensureBuffers(n, activeN int) {
 	u.ensure("jerk.acc", &u.bufAcc, 4*u.activePad, true)
 	u.ensure("jerk.jerk", &u.bufJerk, 4*u.activePad, true)
 
-	growF := func(v []float32, need int) []float32 {
-		if cap(v) < need {
-			return make([]float32, need)
-		}
-		return v[:need]
-	}
-	u.hostPosM = growF(u.hostPosM, 4*u.nPad)
-	u.hostVel = growF(u.hostVel, 4*u.nPad)
-	u.hostAcc = growF(u.hostAcc, 4*u.activePad)
-	u.hostJerk = growF(u.hostJerk, 4*u.activePad)
-	if cap(u.hostActive) < u.activePad {
-		u.hostActive = make([]int32, u.activePad)
-	}
-	u.hostActive = u.hostActive[:u.activePad]
+	u.hostPosM = resize(u.hostPosM, 4*u.nPad)
+	u.hostVel = resize(u.hostVel, 4*u.nPad)
+	u.hostAcc = resize(u.hostAcc, 4*u.activePad)
+	u.hostJerk = resize(u.hostJerk, 4*u.activePad)
+	u.hostActive = resize(u.hostActive, u.activePad)
 }
 
 // iKernel is the i-parallel jerk kernel: work-item k serves active body

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/bh"
 	"repro/internal/cl"
 	"repro/internal/gpusim"
 	"repro/internal/ic"
@@ -111,7 +110,7 @@ func TestJerkUnitJParallelMatchesScalar(t *testing.T) {
 // plans mid-run — the observable the bench harness and dashboards key on.
 func TestEngineAccelJerkSwitchesPlans(t *testing.T) {
 	ctx := newTestContext(t)
-	eng := NewEngine(NewIParallel(ctx, pp.Params{G: 1, Eps: 0.05}))
+	eng := NewEngine(planOn[*IParallel](t, ctx, "i-parallel", WithPPParams(pp.Params{G: 1, Eps: 0.05})))
 	o := obs.New()
 	eng.SetObs(o)
 	if !eng.SupportsJerk() {
@@ -166,7 +165,7 @@ func TestEngineAccelJerkSwitchesPlans(t *testing.T) {
 // have no exact jerk, so the engine must refuse the path.
 func TestEngineSupportsJerkOnlyPP(t *testing.T) {
 	ctx := newTestContext(t)
-	bhEng := NewEngine(NewJWParallel(ctx, bh.DefaultOptions()))
+	bhEng := NewEngine(planOn[*JWParallel](t, ctx, "jw-parallel"))
 	if bhEng.SupportsJerk() {
 		t.Error("BH engine claims jerk support")
 	}
@@ -176,7 +175,7 @@ func TestEngineSupportsJerkOnlyPP(t *testing.T) {
 		t.Error("AccelJerk on BH plan succeeded")
 	}
 
-	ppEng := NewEngine(NewJParallel(ctx, pp.DefaultParams()))
+	ppEng := NewEngine(planOn[*JParallel](t, ctx, "j-parallel"))
 	if !ppEng.SupportsJerk() {
 		t.Error("j-parallel engine denies jerk support")
 	}

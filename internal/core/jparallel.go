@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/body"
-	"repro/internal/cl"
 	"repro/internal/gpusim"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -38,14 +37,6 @@ type JParallel struct {
 	hostOut  []float32
 }
 
-// NewJParallel creates the plan on the given context.
-//
-// Deprecated: new code should construct plans through NewPlanByName
-// ("j-parallel"); see NewIParallel.
-func NewJParallel(ctx *cl.Context, params pp.Params) *JParallel {
-	return &JParallel{Params: params, GroupSize: 64, planBase: newPlanBase(ctx)}
-}
-
 // Name implements Plan.
 func (p *JParallel) Name() string { return "j-parallel" }
 
@@ -63,10 +54,7 @@ func (p *JParallel) ensureBuffers(n int) {
 	p.nPadJ = roundUp(n, p.GroupSize)
 	p.ensure("jparallel.posm", &p.bufPosM, 4*p.nPadJ, true)
 	p.ensure("jparallel.acc", &p.bufAcc, 4*n, true)
-	if cap(p.hostOut) < 4*n {
-		p.hostOut = make([]float32, 4*n)
-	}
-	p.hostOut = p.hostOut[:4*n]
+	p.hostOut = resize(p.hostOut, 4*n)
 }
 
 // kernel returns the j-parallel force kernel bound to the current buffers.

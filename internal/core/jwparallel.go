@@ -5,11 +5,9 @@ import (
 
 	"repro/internal/bh"
 	"repro/internal/body"
-	"repro/internal/cl"
 	"repro/internal/gpusim"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/pp"
 )
 
 // JWParallel is the paper's plan: the jw-parallel mapping derived from the
@@ -42,51 +40,23 @@ type JWParallel struct {
 	// QueueTarget is the number of work-groups (walk queues) to create; 0
 	// selects ComputeUnits x MaxGroupsPerCU, enough to fill the device.
 	QueueTarget int
-	// Host models the CPU half of the pipeline.
-	Host gpusim.HostModel
-	// HostWorkers caps the parallelism of the host-side build (0 =
-	// GOMAXPROCS, 1 = serial).
-	HostWorkers int
-	// Policy is the refit-vs-rebuild hook; the zero value rebuilds every
-	// step.
-	Policy HostPolicy
 	// DisableLDSStaging reverts the list handling to w-parallel's per-lane
 	// streaming while keeping the queueing — the ablation showing where the
 	// speedup comes from.
 	DisableLDSStaging bool
-	// SmallNCutoff, when positive, makes the plan fall back to the PP
-	// j-parallel kernel for systems below the cutoff — the paper's
-	// implementation note (1): under ~1024 bodies the tree/walk pipeline
-	// costs more than it saves and the jw scheme degenerates to j-parallel
-	// anyway. Zero (the default) disables the fallback so sweeps measure
-	// the walk pipeline at every size.
-	SmallNCutoff int
 
 	planBase
-	fallback *JParallel
 
 	// data is the pooled host-side product of the build; steps 2..K reuse
 	// its arenas.
 	data bhHostData
+	// queues is the pooled scratch of the walk-queue balancing.
+	queues lpt
 
 	bufSrc, bufPos, bufLists, bufDesc *gpusim.Buffer
 	bufQueueWalks, bufQueueDesc       *gpusim.Buffer
 	bufAcc                            *gpusim.Buffer
 	hostAcc                           []float32
-}
-
-// NewJWParallel creates the plan on the given context.
-//
-// Deprecated: new code should construct plans through NewPlanByName
-// ("jw-parallel"); see NewIParallel.
-func NewJWParallel(ctx *cl.Context, opt bh.Options) *JWParallel {
-	return &JWParallel{
-		Opt:       opt,
-		GroupCap:  24,
-		LocalSize: 64,
-		Host:      gpusim.PaperHost(),
-		planBase:  newPlanBase(ctx),
-	}
 }
 
 // Name implements Plan.
@@ -98,31 +68,14 @@ func (p *JWParallel) Name() string { return "jw-parallel" }
 func (p *JWParallel) SetObs(o *obs.Obs) {
 	p.setObs(o)
 	p.Opt.Trace = o.Tracer()
-	if p.fallback != nil {
-		p.fallback.SetObs(o)
-	}
 }
 
 // Kind implements Plan.
 func (p *JWParallel) Kind() Kind { return KindBH }
 
-// SetHostWorkers caps the host-side build parallelism.
-func (p *JWParallel) SetHostWorkers(n int) { p.HostWorkers = n }
-
-func (p *JWParallel) numQueues(numWalks int) int {
-	target := p.QueueTarget
-	if target <= 0 {
-		cfg := p.ctx.Device().Config
-		target = cfg.ComputeUnits * cfg.MaxGroupsPerCU
-	}
-	if target > numWalks {
-		target = numWalks
-	}
-	if target < 1 {
-		target = 1
-	}
-	return target
-}
+// SetHostWorkers caps the host-side build parallelism (0 = GOMAXPROCS, 1 =
+// serial).
+func (p *JWParallel) SetHostWorkers(n int) { p.data.builder.Workers = n }
 
 // graph builds the plan's stage graph: the treecode host front (tree, list),
 // the six uploads (walk data plus the balanced queue tables), the
@@ -165,25 +118,13 @@ func (p *JWParallel) Accel(s *body.System) (*RunProfile, error) {
 	}
 	sp := p.obs.Start("accel", "plan").Track(p.Name()).Arg("n", n)
 	defer sp.End()
-	if p.SmallNCutoff > 0 && n < p.SmallNCutoff {
-		if p.fallback == nil {
-			p.fallback = NewJParallel(p.ctx, pp.Params{G: p.Opt.G, Eps: p.Opt.Eps})
-			p.fallback.SetObs(p.obs)
-		}
-		prof, err := p.fallback.Accel(s)
-		if err != nil {
-			return nil, err
-		}
-		prof.Plan = p.Name() + " (j-parallel fallback)"
-		return prof, nil
-	}
-	if err := p.data.build(s, p.Opt, p.GroupCap, p.LocalSize, p.Host, p.Policy, p.HostWorkers); err != nil {
+	if err := p.data.build(s, p.Opt, p.GroupCap, p.LocalSize); err != nil {
 		return nil, err
 	}
 	d := &p.data
 	observeBHData(p.obs, d)
-	numQueues := p.numQueues(d.numWalks)
-	queueWalks, queueDesc := d.balanceQueues(numQueues)
+	numQueues := queueCount(p.ctx.Device().Config, p.QueueTarget, d.numWalks)
+	queueWalks, queueDesc := p.queues.balance(d, nil, numQueues)
 
 	p.ensure("jwparallel.src", &p.bufSrc, len(d.srcF4), true)
 	p.ensure("jwparallel.posm", &p.bufPos, len(d.posmSorted), true)
@@ -192,10 +133,7 @@ func (p *JWParallel) Accel(s *body.System) (*RunProfile, error) {
 	p.ensure("jwparallel.qwalks", &p.bufQueueWalks, len(queueWalks), false)
 	p.ensure("jwparallel.qdesc", &p.bufQueueDesc, len(queueDesc), false)
 	p.ensure("jwparallel.acc", &p.bufAcc, 4*n, true)
-	if cap(p.hostAcc) < 4*n {
-		p.hostAcc = make([]float32, 4*n)
-	}
-	p.hostAcc = p.hostAcc[:4*n]
+	p.hostAcc = resize(p.hostAcc, 4*n)
 
 	rp, err := p.run(p.graph(d, queueWalks, queueDesc, numQueues), p.Name(), n, d.interactions)
 	if err != nil {

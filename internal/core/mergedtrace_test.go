@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/bh"
 	"repro/internal/cl"
 	"repro/internal/gpusim"
 	"repro/internal/ic"
@@ -19,7 +18,7 @@ import (
 // events, and device CU slices all landed in the one timeline.
 func TestMergedTraceEndToEnd(t *testing.T) {
 	ctx := newHD5850Context(t)
-	plan := NewJWParallel(ctx, bh.DefaultOptions())
+	plan := planOn[*JWParallel](t, ctx, "jw-parallel")
 	eng := NewEngine(plan)
 	o := obs.New()
 	eng.SetObs(o)

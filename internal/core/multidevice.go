@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bh"
 	"repro/internal/body"
@@ -36,18 +35,13 @@ type MultiJW struct {
 	GroupCap    int
 	LocalSize   int
 	QueueTarget int
-	// Host models the CPU half of the pipeline.
-	Host gpusim.HostModel
-	// HostWorkers caps the parallelism of the host-side build (0 =
-	// GOMAXPROCS, 1 = serial).
-	HostWorkers int
-	// Policy is the refit-vs-rebuild hook; the zero value rebuilds every
-	// step.
-	Policy HostPolicy
 
 	// data is the pooled host-side product of the build; steps 2..K reuse
 	// its arenas.
 	data bhHostData
+	// shards splits the walks across devices; queues then balances one
+	// shard into its device's walk queues.
+	shards, queues lpt
 
 	ctxs []*cl.Context
 	devs []*deviceState
@@ -61,29 +55,15 @@ type deviceState struct {
 	host  []float32
 }
 
-// NewMultiJW creates the plan with the given device count.
-//
-// Deprecated: new code should construct plans through NewPlanByName
-// ("jw-parallel-xK"); see NewIParallel.
-func NewMultiJW(opt bh.Options, devices int, cfg gpusim.DeviceConfig) *MultiJW {
-	return &MultiJW{
-		Opt:       opt,
-		Devices:   devices,
-		Config:    cfg,
-		GroupCap:  24,
-		LocalSize: 64,
-		Host:      gpusim.PaperHost(),
-	}
-}
-
 // Name implements Plan.
 func (p *MultiJW) Name() string { return fmt.Sprintf("jw-parallel x%d", p.Devices) }
 
 // Kind implements Plan.
 func (p *MultiJW) Kind() Kind { return KindBH }
 
-// SetHostWorkers caps the host-side build parallelism.
-func (p *MultiJW) SetHostWorkers(n int) { p.HostWorkers = n }
+// SetHostWorkers caps the host-side build parallelism (0 = GOMAXPROCS, 1 =
+// serial).
+func (p *MultiJW) SetHostWorkers(n int) { p.data.builder.Workers = n }
 
 // SetObs implements obs.Observable. Every device queue reports into the
 // same bundle; per-device spans are distinguished by command names.
@@ -115,104 +95,16 @@ func (p *MultiJW) init() error {
 	return nil
 }
 
-func (p *MultiJW) queuesPerDevice(walks int) int {
-	target := p.QueueTarget
-	if target <= 0 {
-		target = p.Config.ComputeUnits * p.Config.MaxGroupsPerCU
-	}
-	if target > walks {
-		target = walks
-	}
-	if target < 1 {
-		target = 1
-	}
-	return target
-}
-
-// shardWalks partitions walk ids into p.Devices shards, LPT on list cost.
-func (p *MultiJW) shardWalks(d *bhHostData) [][]int32 {
-	type wcost struct {
-		id   int32
-		cost int64
-	}
-	ws := make([]wcost, d.numWalks)
-	for i := 0; i < d.numWalks; i++ {
-		cnt := int64(d.desc[i*bhDescStride+1])
-		llen := int64(d.desc[i*bhDescStride+3])
-		ws[i] = wcost{id: int32(i), cost: llen * maxI64(cnt, 1)}
-	}
-	sort.SliceStable(ws, func(a, b int) bool { return ws[a].cost > ws[b].cost })
-	shards := make([][]int32, p.Devices)
-	load := make([]int64, p.Devices)
-	for _, w := range ws {
-		k := 0
-		for j := 1; j < p.Devices; j++ {
-			if load[j] < load[k] {
-				k = j
-			}
-		}
-		shards[k] = append(shards[k], w.id)
-		load[k] += w.cost
-	}
-	return shards
-}
-
 // ensure sizes (or resizes) one device's buffers.
 func (ds *deviceState) ensure(dev *gpusim.Device, d *bhHostData, qw, qd []int32, n int) {
-	grow := func(buf **gpusim.Buffer, name string, sz int, isFloat bool) {
-		if *buf != nil && (*buf).Len() >= sz && (*buf).IsFloat() == isFloat {
-			return
-		}
-		if isFloat {
-			*buf = dev.NewBufferF32(name, sz)
-		} else {
-			*buf = dev.NewBufferI32(name, sz)
-		}
-	}
-	grow(&ds.bufs.src, "multijw.src", len(d.srcF4), true)
-	grow(&ds.bufs.pos, "multijw.posm", len(d.posmSorted), true)
-	grow(&ds.bufs.lists, "multijw.lists", len(d.lists), false)
-	grow(&ds.bufs.desc, "multijw.desc", len(d.desc), false)
-	grow(&ds.bufs.queueWalks, "multijw.qwalks", len(qw), false)
-	grow(&ds.bufs.queueDesc, "multijw.qdesc", len(qd), false)
-	grow(&ds.bufs.acc, "multijw.acc", 4*n, true)
-	if cap(ds.host) < 4*n {
-		ds.host = make([]float32, 4*n)
-	}
-	ds.host = ds.host[:4*n]
-}
-
-// queuesForShard balances one shard's walks into numQueues queues.
-func queuesForShard(d *bhHostData, shard []int32, numQueues int) (qw, qd []int32) {
-	type wcost struct {
-		id   int32
-		cost int64
-	}
-	ws := make([]wcost, len(shard))
-	for i, id := range shard {
-		cnt := int64(d.desc[id*bhDescStride+1])
-		llen := int64(d.desc[id*bhDescStride+3])
-		ws[i] = wcost{id: id, cost: llen * maxI64(cnt, 1)}
-	}
-	sort.SliceStable(ws, func(a, b int) bool { return ws[a].cost > ws[b].cost })
-	queues := make([][]int32, numQueues)
-	load := make([]int64, numQueues)
-	for _, w := range ws {
-		k := 0
-		for j := 1; j < numQueues; j++ {
-			if load[j] < load[k] {
-				k = j
-			}
-		}
-		queues[k] = append(queues[k], w.id)
-		load[k] += w.cost
-	}
-	qd = make([]int32, 0, 2*numQueues)
-	for _, q := range queues {
-		qd = append(qd, int32(len(qw)), int32(len(q)))
-		qw = append(qw, q...)
-	}
-	return qw, qd
+	ensureBuffer(dev, "multijw.src", &ds.bufs.src, len(d.srcF4), true)
+	ensureBuffer(dev, "multijw.posm", &ds.bufs.pos, len(d.posmSorted), true)
+	ensureBuffer(dev, "multijw.lists", &ds.bufs.lists, len(d.lists), false)
+	ensureBuffer(dev, "multijw.desc", &ds.bufs.desc, len(d.desc), false)
+	ensureBuffer(dev, "multijw.qwalks", &ds.bufs.queueWalks, len(qw), false)
+	ensureBuffer(dev, "multijw.qdesc", &ds.bufs.queueDesc, len(qd), false)
+	ensureBuffer(dev, "multijw.acc", &ds.bufs.acc, 4*n, true)
+	ds.host = resize(ds.host, 4*n)
 }
 
 // Accel implements Plan.
@@ -226,24 +118,24 @@ func (p *MultiJW) Accel(s *body.System) (*RunProfile, error) {
 	}
 	sp := p.obs.Start("accel", "plan").Track(p.Name()).Arg("n", n).Arg("devices", p.Devices)
 	defer sp.End()
-	if err := p.data.build(s, p.Opt, p.GroupCap, p.LocalSize, p.Host, p.Policy, p.HostWorkers); err != nil {
+	if err := p.data.build(s, p.Opt, p.GroupCap, p.LocalSize); err != nil {
 		return nil, err
 	}
 	d := &p.data
 	observeBHData(p.obs, d)
-	shards := p.shardWalks(d)
+	shardWalks, shardDesc := p.shards.balance(d, nil, p.Devices)
 
 	prof := cl.Profile{HostSeconds: d.treeSeconds + d.listSeconds}
 	var launches []*gpusim.Result
 	var maxKernel, maxTransfer float64
 
 	for k, ds := range p.devs {
-		shard := shards[k]
+		shard := shardWalks[shardDesc[2*k] : shardDesc[2*k]+shardDesc[2*k+1]]
 		if len(shard) == 0 {
 			continue
 		}
-		numQueues := p.queuesPerDevice(len(shard))
-		qw, qd := queuesForShard(d, shard, numQueues)
+		numQueues := queueCount(p.Config, p.QueueTarget, len(shard))
+		qw, qd := p.queues.balance(d, shard, numQueues)
 		ds.ensure(p.ctxs[k].Device(), d, qw, qd, n)
 
 		q := ds.queue

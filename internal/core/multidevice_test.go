@@ -4,24 +4,37 @@ import (
 	"testing"
 
 	"repro/internal/bh"
-	"repro/internal/gpusim"
 	"repro/internal/ic"
 	"repro/internal/pp"
 )
+
+// multiJW builds the multi-device jw plan with the given device count.
+// NewPlanByName names only K >= 2, so the count is set on an x2 plan before
+// its first evaluation (which is when the device contexts are created).
+func multiJW(t *testing.T, devices int, opts ...PlanOption) *MultiJW {
+	t.Helper()
+	p, err := NewPlanByName("jw-parallel-x2", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := p.(*MultiJW)
+	m.Devices = devices
+	return m
+}
 
 func TestMultiJWMatchesSingleDevice(t *testing.T) {
 	opt := bh.DefaultOptions()
 	sys := ic.Plummer(4096, 11)
 
 	ctx := newHD5850Context(t)
-	single := NewJWParallel(ctx, opt)
+	single := planOn[*JWParallel](t, ctx, "jw-parallel", WithBHOptions(opt))
 	ref := sys.Clone()
 	if _, err := single.Accel(ref); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, devices := range []int{1, 2, 4} {
-		multi := NewMultiJW(opt, devices, gpusim.HD5850())
+		multi := multiJW(t, devices, WithBHOptions(opt))
 		got := sys.Clone()
 		prof, err := multi.Accel(got)
 		if err != nil {
@@ -49,7 +62,7 @@ func TestMultiJWScales(t *testing.T) {
 	sys := ic.Plummer(16384, 12)
 
 	kernel := func(devices int) float64 {
-		multi := NewMultiJW(opt, devices, gpusim.HD5850())
+		multi := multiJW(t, devices, WithBHOptions(opt))
 		prof, err := multi.Accel(sys.Clone())
 		if err != nil {
 			t.Fatal(err)
@@ -72,7 +85,7 @@ func TestMultiJWSmallSystem(t *testing.T) {
 	// against the direct sum's treecode tolerance.
 	opt := bh.DefaultOptions()
 	sys := ic.Plummer(64, 13)
-	multi := NewMultiJW(opt, 8, gpusim.HD5850())
+	multi := multiJW(t, 8, WithBHOptions(opt))
 	got := sys.Clone()
 	if _, err := multi.Accel(got); err != nil {
 		t.Fatal(err)
@@ -85,11 +98,11 @@ func TestMultiJWSmallSystem(t *testing.T) {
 }
 
 func TestMultiJWValidation(t *testing.T) {
-	multi := NewMultiJW(bh.DefaultOptions(), 0, gpusim.HD5850())
+	multi := multiJW(t, 0)
 	if _, err := multi.Accel(ic.Plummer(64, 1)); err == nil {
 		t.Error("zero devices accepted")
 	}
-	multi = NewMultiJW(bh.DefaultOptions(), 2, gpusim.HD5850())
+	multi = multiJW(t, 2)
 	if _, err := multi.Accel(ic.Plummer(0, 1)); err == nil {
 		t.Error("empty system accepted")
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/bh"
 	"repro/internal/ic"
 	"repro/internal/obs"
 )
@@ -14,7 +13,7 @@ import (
 // disabled telemetry adds no measurable overhead to plan execution.
 func benchJWAccel(b *testing.B, o *obs.Obs) {
 	ctx := newHD5850Context(b)
-	plan := NewJWParallel(ctx, bh.DefaultOptions())
+	plan := planOn[*JWParallel](b, ctx, "jw-parallel")
 	plan.SetObs(o)
 	sys := ic.Plummer(2048, 7)
 	if _, err := plan.Accel(sys); err != nil {

@@ -32,14 +32,18 @@ func (b *planBase) setObs(o *obs.Obs) {
 // units (the Hermite jerk unit) on the same simulated device.
 func (b *planBase) clContext() *cl.Context { return b.ctx }
 
-// ensure (re)allocates a device buffer, growing only: modelled transfer cost
-// is charged per element written, not per buffer size, so an oversized
-// buffer never changes the timing.
+// ensure (re)allocates one of the plan's device buffers; see ensureBuffer.
 func (b *planBase) ensure(name string, buf **gpusim.Buffer, n int, isFloat bool) {
+	ensureBuffer(b.ctx.Device(), name, buf, n, isFloat)
+}
+
+// ensureBuffer (re)allocates a device buffer on dev, growing only: modelled
+// transfer cost is charged per element written, not per buffer size, so an
+// oversized buffer never changes the timing.
+func ensureBuffer(dev *gpusim.Device, name string, buf **gpusim.Buffer, n int, isFloat bool) {
 	if *buf != nil && (*buf).Len() >= n && (*buf).IsFloat() == isFloat {
 		return
 	}
-	dev := b.ctx.Device()
 	if isFloat {
 		*buf = dev.NewBufferF32(name, n)
 	} else {

@@ -30,9 +30,6 @@ type planOptions struct {
 	groupCap    int
 	localSize   int
 	queueTarget int
-
-	hostWorkers int
-	hostPolicy  HostPolicy
 }
 
 // PlanOption configures NewPlanByName.
@@ -89,19 +86,6 @@ func WithTuning(groupCap, localSize, queueTarget int) PlanOption {
 	}
 }
 
-// WithHostWorkers caps the parallelism of the host-side build of the BH
-// plans (0 = GOMAXPROCS, 1 = serial). PP plans have no tree build and ignore
-// it.
-func WithHostWorkers(n int) PlanOption {
-	return func(o *planOptions) { o.hostWorkers = n }
-}
-
-// WithHostPolicy sets the refit-vs-rebuild policy of the BH plans' host
-// pipeline; the zero value rebuilds the octree every step.
-func WithHostPolicy(p HostPolicy) PlanOption {
-	return func(o *planOptions) { o.hostPolicy = p }
-}
-
 // PlanNames lists every name NewPlanByName accepts, in the paper's
 // presentation order. Multi-device variants follow the pattern
 // "jw-parallel-xK" for any K >= 2; the list shows the two tracked ones.
@@ -113,16 +97,20 @@ func PlanNames() []string {
 	}
 }
 
-// NewPlanByName constructs the named execution plan. It is the single entry
-// point the CLIs and the job service build plans through; the per-plan
-// constructors (NewIParallel, NewJParallel, NewWParallel, NewJWParallel,
-// NewMultiJW, NewCLPlanPP) remain for existing callers but new code should
-// come through here.
+// NewPlanByName constructs the named execution plan. It is the one way to
+// build a plan: the CLIs, the job service, the experiment harness and the
+// tests all come through here.
 //
 // Names: the four paper plans ("i-parallel", "j-parallel", "w-parallel",
 // "jw-parallel"), the multi-device scale-out ("jw-parallel-xK", K >= 2), and
 // the OpenCL-C-source PP variants ("i-parallel-src", "j-parallel-src") that
 // run through the clc compiler.
+//
+// Defaults, each overridable through WithTuning: i-parallel groups of 256
+// and j-parallel groups of 64 (one wavefront); w-parallel walks of up to 64
+// bodies on 64-lane groups; jw-parallel (and each device of jw-parallel-xK)
+// walks of up to 24 bodies on 64-lane groups, with enough walk queues to
+// fill the device.
 func NewPlanByName(name string, opts ...PlanOption) (Plan, error) {
 	o := planOptions{
 		device: gpusim.HD5850(),
@@ -143,62 +131,34 @@ func NewPlanByName(name string, opts ...PlanOption) (Plan, error) {
 		}
 		return cl.NewContext(o.device)
 	}
+	// tuned returns the WithTuning override when one was given, def
+	// otherwise.
+	tuned := func(v, def int) int {
+		if v > 0 {
+			return v
+		}
+		return def
+	}
 
 	var plan Plan
 	switch {
-	case name == "i-parallel":
+	case name == "i-parallel" || name == "j-parallel" || name == "w-parallel" || name == "jw-parallel":
 		c, err := ctx()
 		if err != nil {
 			return nil, err
 		}
-		p := NewIParallel(c, o.params)
-		if o.localSize > 0 {
-			p.GroupSize = o.localSize
+		base := newPlanBase(c)
+		switch name {
+		case "i-parallel":
+			plan = &IParallel{Params: o.params, GroupSize: tuned(o.localSize, 256), planBase: base}
+		case "j-parallel":
+			plan = &JParallel{Params: o.params, GroupSize: tuned(o.localSize, 64), planBase: base}
+		case "w-parallel":
+			plan = &WParallel{Opt: o.opt, GroupCap: tuned(o.groupCap, 64), LocalSize: tuned(o.localSize, 64), planBase: base}
+		default:
+			plan = &JWParallel{Opt: o.opt, GroupCap: tuned(o.groupCap, 24), LocalSize: tuned(o.localSize, 64),
+				QueueTarget: tuned(o.queueTarget, 0), planBase: base}
 		}
-		plan = p
-	case name == "j-parallel":
-		c, err := ctx()
-		if err != nil {
-			return nil, err
-		}
-		p := NewJParallel(c, o.params)
-		if o.localSize > 0 {
-			p.GroupSize = o.localSize
-		}
-		plan = p
-	case name == "w-parallel":
-		c, err := ctx()
-		if err != nil {
-			return nil, err
-		}
-		p := NewWParallel(c, o.opt)
-		if o.groupCap > 0 {
-			p.GroupCap = o.groupCap
-		}
-		if o.localSize > 0 {
-			p.LocalSize = o.localSize
-		}
-		p.HostWorkers = o.hostWorkers
-		p.Policy = o.hostPolicy
-		plan = p
-	case name == "jw-parallel":
-		c, err := ctx()
-		if err != nil {
-			return nil, err
-		}
-		p := NewJWParallel(c, o.opt)
-		if o.groupCap > 0 {
-			p.GroupCap = o.groupCap
-		}
-		if o.localSize > 0 {
-			p.LocalSize = o.localSize
-		}
-		if o.queueTarget > 0 {
-			p.QueueTarget = o.queueTarget
-		}
-		p.HostWorkers = o.hostWorkers
-		p.Policy = o.hostPolicy
-		plan = p
 	case name == "i-parallel-src" || name == "j-parallel-src":
 		c, err := ctx()
 		if err != nil {
@@ -208,32 +168,19 @@ func NewPlanByName(name string, opts ...PlanOption) (Plan, error) {
 		if name == "j-parallel-src" {
 			variant = "jparallel"
 		}
-		p, err := NewCLPlanPP(c, o.params, variant)
+		p, err := newCLPlanPP(c, o.params, variant)
 		if err != nil {
 			return nil, err
 		}
-		if o.localSize > 0 {
-			p.GroupSize = o.localSize
-		}
+		p.GroupSize = tuned(o.localSize, p.GroupSize)
 		plan = p
 	case strings.HasPrefix(name, "jw-parallel-x"):
 		k, err := strconv.Atoi(strings.TrimPrefix(name, "jw-parallel-x"))
 		if err != nil || k < 2 {
 			return nil, fmt.Errorf("core: bad multi-device plan %q (want jw-parallel-xK, K >= 2)", name)
 		}
-		p := NewMultiJW(o.opt, k, o.device)
-		if o.groupCap > 0 {
-			p.GroupCap = o.groupCap
-		}
-		if o.localSize > 0 {
-			p.LocalSize = o.localSize
-		}
-		if o.queueTarget > 0 {
-			p.QueueTarget = o.queueTarget
-		}
-		p.HostWorkers = o.hostWorkers
-		p.Policy = o.hostPolicy
-		plan = p
+		plan = &MultiJW{Opt: o.opt, Devices: k, Config: o.device, GroupCap: tuned(o.groupCap, 24),
+			LocalSize: tuned(o.localSize, 64), QueueTarget: tuned(o.queueTarget, 0)}
 	default:
 		return nil, fmt.Errorf("core: unknown plan %q (known: %s)", name, strings.Join(PlanNames(), ", "))
 	}

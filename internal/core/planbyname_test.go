@@ -125,14 +125,17 @@ func TestNewPlanByNameKernelCheck(t *testing.T) {
 	}
 }
 
-func TestNewPlanByNameMatchesLegacyConstructor(t *testing.T) {
+// TestNewPlanByNameContextMatchesDevice checks that a plan pinned to a
+// caller's HD5850 context (the serve pool's route) computes the same forces
+// as one on the default device.
+func TestNewPlanByNameContextMatchesDevice(t *testing.T) {
 	clCtx, err := cl.NewContext(gpusim.HD5850())
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacySys := ic.Plummer(512, 7)
-	legacy := NewJWParallel(clCtx, bh.DefaultOptions())
-	if _, err := legacy.Accel(legacySys); err != nil {
+	pinnedSys := ic.Plummer(512, 7)
+	pinned := planOn[*JWParallel](t, clCtx, "jw-parallel")
+	if _, err := pinned.Accel(pinnedSys); err != nil {
 		t.Fatal(err)
 	}
 	namedSys := ic.Plummer(512, 7)
@@ -143,9 +146,9 @@ func TestNewPlanByNameMatchesLegacyConstructor(t *testing.T) {
 	if _, err := named.Accel(namedSys); err != nil {
 		t.Fatal(err)
 	}
-	for i := range legacySys.Acc {
-		if legacySys.Acc[i] != namedSys.Acc[i] {
-			t.Fatalf("acceleration %d diverged between legacy and named construction", i)
+	for i := range pinnedSys.Acc {
+		if pinnedSys.Acc[i] != namedSys.Acc[i] {
+			t.Fatalf("acceleration %d diverged between context-pinned and default-device construction", i)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/bh"
 	"repro/internal/gpusim"
 	"repro/internal/ic"
-	"repro/internal/pp"
 )
 
 // TestAnalyticMatchesMeasuredPP cross-checks the PTPM's closed-form PP
@@ -21,7 +20,7 @@ func TestAnalyticMatchesMeasuredPP(t *testing.T) {
 		sys := ic.Plummer(n, 1)
 		ctx := newHD5850Context(t)
 
-		ip := NewIParallel(ctx, pp.DefaultParams())
+		ip := planOn[*IParallel](t, ctx, "i-parallel")
 		prof, err := ip.Accel(sys.Clone())
 		if err != nil {
 			t.Fatal(err)
@@ -33,7 +32,7 @@ func TestAnalyticMatchesMeasuredPP(t *testing.T) {
 				n, predicted, measured, r)
 		}
 
-		jp := NewJParallel(ctx, pp.DefaultParams())
+		jp := planOn[*JParallel](t, ctx, "j-parallel")
 		prof, err = jp.Accel(sys.Clone())
 		if err != nil {
 			t.Fatal(err)
@@ -57,7 +56,7 @@ func TestAnalyticMatchesMeasuredBH(t *testing.T) {
 	ctx := newHD5850Context(t)
 
 	opt := bh.DefaultOptions()
-	jw := NewJWParallel(ctx, opt)
+	jw := planOn[*JWParallel](t, ctx, "jw-parallel", WithBHOptions(opt))
 	prof, err := jw.Accel(sys.Clone())
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +94,7 @@ func TestAnalyticMatchesMeasuredBH(t *testing.T) {
 		t.Errorf("jw-parallel: predicted %g vs measured %g (ratio %g)", predicted, measured, r)
 	}
 
-	wp := NewWParallel(ctx, opt)
+	wp := planOn[*WParallel](t, ctx, "w-parallel", WithBHOptions(opt))
 	prof, err = wp.Accel(sys.Clone())
 	if err != nil {
 		t.Fatal(err)
@@ -136,8 +135,8 @@ func TestFromResultRoundTrip(t *testing.T) {
 	sys := ic.Plummer(2048, 3)
 
 	for _, mk := range []func() Plan{
-		func() Plan { return NewIParallel(ctx, pp.DefaultParams()) },
-		func() Plan { return NewJParallel(ctx, pp.DefaultParams()) },
+		func() Plan { return planOn[*IParallel](t, ctx, "i-parallel") },
+		func() Plan { return planOn[*JParallel](t, ctx, "j-parallel") },
 	} {
 		plan := mk()
 		prof, err := plan.Accel(sys.Clone())

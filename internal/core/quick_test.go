@@ -44,8 +44,8 @@ func TestShippedKernelSourcesRoundTrip(t *testing.T) {
 func TestQuickPlansMatchScalar(t *testing.T) {
 	params := pp.DefaultParams()
 	ctx := newHD5850Context(t)
-	iPlan := NewIParallel(ctx, params)
-	jPlan := NewJParallel(ctx, params)
+	iPlan := planOn[*IParallel](t, ctx, "i-parallel", WithPPParams(params))
+	jPlan := planOn[*JParallel](t, ctx, "j-parallel", WithPPParams(params))
 
 	f := func(seed uint64, szRaw uint8) bool {
 		n := int(szRaw)%60 + 2
@@ -88,7 +88,7 @@ func TestQuickBHPlansStayAccurate(t *testing.T) {
 		pp.Scalar(ref, pp.Params{G: opt.G, Eps: opt.Eps})
 
 		ctx := newHD5850Context(t)
-		jw := NewJWParallel(ctx, opt)
+		jw := planOn[*JWParallel](t, ctx, "jw-parallel", WithBHOptions(opt))
 		got := sys.Clone()
 		if _, err := jw.Accel(got); err != nil {
 			t.Logf("jw: %v", err)

@@ -57,7 +57,7 @@ func TestTunerPredictionMatchesExecution(t *testing.T) {
 	}
 	measure := func(c Choice) float64 {
 		ctx := newHD5850Context(t)
-		plan := NewJWParallel(ctx, bh.DefaultOptions())
+		plan := planOn[*JWParallel](t, ctx, "jw-parallel")
 		c.Apply(plan)
 		prof, err := plan.Accel(sample.Clone())
 		if err != nil {

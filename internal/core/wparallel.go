@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bh"
 	"repro/internal/body"
-	"repro/internal/cl"
 	"repro/internal/gpusim"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -33,14 +32,6 @@ type WParallel struct {
 	GroupCap int
 	// LocalSize is the work-group size (default 64, one wavefront).
 	LocalSize int
-	// Host models the CPU half of the pipeline.
-	Host gpusim.HostModel
-	// HostWorkers caps the parallelism of the host-side build (0 =
-	// GOMAXPROCS, 1 = serial).
-	HostWorkers int
-	// Policy is the refit-vs-rebuild hook; the zero value rebuilds every
-	// step.
-	Policy HostPolicy
 
 	planBase
 
@@ -50,20 +41,6 @@ type WParallel struct {
 
 	bufSrc, bufPos, bufLists, bufDesc, bufAcc *gpusim.Buffer
 	hostAcc                                   []float32
-}
-
-// NewWParallel creates the plan on the given context.
-//
-// Deprecated: new code should construct plans through NewPlanByName
-// ("w-parallel"); see NewIParallel.
-func NewWParallel(ctx *cl.Context, opt bh.Options) *WParallel {
-	return &WParallel{
-		Opt:       opt,
-		GroupCap:  64,
-		LocalSize: 64,
-		Host:      gpusim.PaperHost(),
-		planBase:  newPlanBase(ctx),
-	}
 }
 
 // Name implements Plan.
@@ -78,8 +55,9 @@ func (p *WParallel) SetObs(o *obs.Obs) {
 	p.Opt.Trace = o.Tracer()
 }
 
-// SetHostWorkers caps the host-side build parallelism.
-func (p *WParallel) SetHostWorkers(n int) { p.HostWorkers = n }
+// SetHostWorkers caps the host-side build parallelism (0 = GOMAXPROCS, 1 =
+// serial).
+func (p *WParallel) SetHostWorkers(n int) { p.data.builder.Workers = n }
 
 // kernel returns the w-parallel force kernel bound to the current buffers.
 func (p *WParallel) kernel() gpusim.KernelFunc {
@@ -161,7 +139,7 @@ func (p *WParallel) Accel(s *body.System) (*RunProfile, error) {
 	}
 	sp := p.obs.Start("accel", "plan").Track(p.Name()).Arg("n", n)
 	defer sp.End()
-	if err := p.data.build(s, p.Opt, p.GroupCap, p.LocalSize, p.Host, p.Policy, p.HostWorkers); err != nil {
+	if err := p.data.build(s, p.Opt, p.GroupCap, p.LocalSize); err != nil {
 		return nil, err
 	}
 	d := &p.data
@@ -172,10 +150,7 @@ func (p *WParallel) Accel(s *body.System) (*RunProfile, error) {
 	p.ensure("wparallel.lists", &p.bufLists, len(d.lists), false)
 	p.ensure("wparallel.desc", &p.bufDesc, len(d.desc), false)
 	p.ensure("wparallel.acc", &p.bufAcc, 4*n, true)
-	if cap(p.hostAcc) < 4*n {
-		p.hostAcc = make([]float32, 4*n)
-	}
-	p.hostAcc = p.hostAcc[:4*n]
+	p.hostAcc = resize(p.hostAcc, 4*n)
 
 	rp, err := p.run(p.graph(d), p.Name(), n, d.interactions)
 	if err != nil {

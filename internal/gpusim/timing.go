@@ -240,16 +240,6 @@ func (h HostModel) TreeBuildSeconds(n int) float64 {
 	return float64(n) * levels * h.TreeOpsPerBodyLevel / h.OpsPerSecond
 }
 
-// TreeRefitSeconds models a summary-only refresh of an existing octree
-// topology (COM/mass/bounds recomputed bottom-up, no re-partitioning) —
-// one level's worth of build work per body instead of the full log n.
-func (h HostModel) TreeRefitSeconds(n int) float64 {
-	if n < 2 {
-		return 0
-	}
-	return float64(n) * h.TreeOpsPerBodyLevel / h.OpsPerSecond
-}
-
 // ListBuildSeconds models interaction-list construction emitting the given
 // total number of entries.
 func (h HostModel) ListBuildSeconds(entries int64) float64 {

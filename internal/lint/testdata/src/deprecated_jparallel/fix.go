@@ -1,12 +1,12 @@
-// Package fix builds plans through the deprecated constructors.
+// Package fix builds a plan through a deprecated constructor.
 package fix
 
 import (
-	"repro/internal/core"
-	"repro/internal/pp"
+	target "repro/internal/lint/testdata/src/deprecated_target"
 )
 
-// build uses the legacy constructor NewPlanByName replaced.
-func build() *core.JParallel {
-	return core.NewJParallel(nil, pp.Params{})
+// build uses the legacy constructor NewPlanByName replaced, for the
+// j-parallel plan.
+func build() *target.Plan {
+	return target.NewLegacyPlan("j-parallel")
 }

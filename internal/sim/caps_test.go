@@ -6,9 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bh"
 	"repro/internal/body"
-	"repro/internal/cl"
 	"repro/internal/core"
 	"repro/internal/gpusim"
 	"repro/internal/ic"
@@ -84,13 +82,57 @@ func TestCapsPartialImplementations(t *testing.T) {
 }
 
 func TestCapsGPUEngineImplementsEverything(t *testing.T) {
-	clCtx, err := cl.NewContext(gpusim.TestDevice())
+	eng, err := core.NewEngineByName("jw-parallel", core.WithDevice(gpusim.TestDevice()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Caps(core.NewEngine(core.NewJWParallel(clCtx, bh.DefaultOptions())))
+	c := Caps(eng)
 	if want := "timed,batch,context,executed,observable,hostbuild,hostworkers"; c.String() != want {
 		t.Errorf("core.Engine caps = %q, want %q", c, want)
+	}
+}
+
+// workersEngine records every SetHostWorkers call and the evaluations made
+// before it.
+type workersEngine struct {
+	bareEngine
+	set         []int
+	accels      int
+	accelsAtSet int
+}
+
+func (e *workersEngine) SetHostWorkers(n int) {
+	e.set = append(e.set, n)
+	e.accelsAtSet = e.accels
+}
+
+func (e *workersEngine) Accel(s *body.System) (int64, error) {
+	e.accels++
+	return e.bareEngine.Accel(s)
+}
+
+// TestRunContextAppliesHostWorkers pins the one route for the host-build
+// parallelism cap: a non-zero Config.HostWorkers reaches the engine once,
+// before its first evaluation; zero leaves the engine's default alone.
+func TestRunContextAppliesHostWorkers(t *testing.T) {
+	for _, n := range []int{0, 1, 3} {
+		eng := &workersEngine{}
+		if _, err := RunContext(context.Background(), ic.Plummer(16, 1), eng, &integrate.Leapfrog{}, Config{
+			DT: 0.01, Steps: 2, G: 1, Eps: 0.05, HostWorkers: n,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if eng.accels == 0 {
+			t.Fatalf("n=%d: engine never evaluated", n)
+		}
+		switch {
+		case n == 0 && len(eng.set) != 0:
+			t.Errorf("n=0: SetHostWorkers called with %v", eng.set)
+		case n != 0 && (len(eng.set) != 1 || eng.set[0] != n):
+			t.Errorf("n=%d: SetHostWorkers calls %v, want exactly [%d]", n, eng.set, n)
+		case n != 0 && eng.accelsAtSet != 0:
+			t.Errorf("n=%d: SetHostWorkers came after %d evaluations", n, eng.accelsAtSet)
+		}
 	}
 }
 

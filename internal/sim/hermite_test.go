@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cl"
 	"repro/internal/core"
 	"repro/internal/gpusim"
 	"repro/internal/ic"
@@ -20,12 +19,11 @@ import (
 // the scenario watchdog (armed from Config.Scenario) passes on a Plummer
 // sphere.
 func TestRunHermiteGPUJerkPath(t *testing.T) {
-	clCtx, err := cl.NewContext(gpusim.TestDevice())
+	params := pp.Params{G: 1, Eps: 0.05}
+	eng, err := core.NewEngineByName("i-parallel", core.WithDevice(gpusim.TestDevice()), core.WithPPParams(params))
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := pp.Params{G: 1, Eps: 0.05}
-	eng := core.NewEngine(core.NewIParallel(clCtx, params))
 	caps := Caps(eng)
 	if !strings.Contains(caps.String(), "jerk") {
 		t.Fatalf("PP core engine caps %q lack jerk", caps)

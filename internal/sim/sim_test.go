@@ -302,7 +302,10 @@ func TestRunPipelineWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	newEng := func(mode pipeline.Mode) *core.Engine {
-		eng := core.NewEngine(core.NewJWParallel(ctx, bh.DefaultOptions()))
+		eng, err := core.NewEngineByName("jw-parallel", core.WithCLContext(ctx))
+		if err != nil {
+			t.Fatal(err)
+		}
 		eng.Mode = mode
 		return eng
 	}
