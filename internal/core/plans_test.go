@@ -198,33 +198,40 @@ func TestJWQueueingCoversAllBodies(t *testing.T) {
 // captured from the monolithic Accel implementations on an HD5850 with
 // ic.Plummer(n, 42). Any change to enqueue order, kernel arithmetic, or the
 // cost model shows up here. The jw-parallel-xK rows pin the multi-device
-// plan's walk sharding and per-device queueing the same way.
+// plan's walk sharding and per-device queueing the same way, and the
+// unstaged jw-parallel rows pin the DisableLDSStaging ablation.
 func TestPlansBitwiseGolden(t *testing.T) {
 	golden := []struct {
 		plan            string
+		unstaged        bool
 		n               int
 		accHash         uint64
 		kernelSeconds   float64
 		transferSeconds float64
 	}{
-		{"i-parallel", 1024, 0xb93a7be5a8127779, 0.00015556444938820912, 3.5957818181818176e-05},
-		{"j-parallel", 1024, 0x88c7832efc0aec54, 0.00018178174137931054, 3.5957818181818176e-05},
-		{"w-parallel", 1024, 0x049641017ef77c6e, 0.0013016855431034482, 9.6629090909090788e-05},
-		{"jw-parallel", 1024, 0xad5478fe19182552, 0.0001231860734149054, 0.00014650181818181846},
-		{"i-parallel", 4096, 0x0b15d52f29d51978, 0.00059401641824249158, 5.3831272727272705e-05},
-		{"j-parallel", 4096, 0x19b679bffcf1c15d, 0.0022760629655172505, 5.3831272727272813e-05},
-		{"w-parallel", 4096, 0x0dc94662b251ca68, 0.0044576519224137929, 0.00027896945454545293},
-		{"jw-parallel", 4096, 0xaa818f6a27219b31, 0.0010617280978865405, 0.00051479272727272644},
-		{"jw-parallel-x2", 1024, 0xad5478fe19182552, 8.4946073414905472e-05, 0.000146456},
-		{"jw-parallel-x4", 1024, 0xad5478fe19182552, 8.37249833147942e-05, 0.000146432},
-		{"jw-parallel-x2", 4096, 0xaa818f6a27219b31, 0.00055552600667408227, 0.00051464654545454558},
-		{"jw-parallel-x4", 4096, 0xaa818f6a27219b31, 0.00031470055617352618, 0.00051455272727272722},
+		{"i-parallel", false, 1024, 0xb93a7be5a8127779, 0.00015556444938820912, 3.5957818181818176e-05},
+		{"j-parallel", false, 1024, 0x88c7832efc0aec54, 0.00018178174137931054, 3.5957818181818176e-05},
+		{"w-parallel", false, 1024, 0x049641017ef77c6e, 0.0013016855431034482, 9.6629090909090788e-05},
+		{"jw-parallel", false, 1024, 0xad5478fe19182552, 0.0001231860734149054, 0.00014650181818181846},
+		{"i-parallel", false, 4096, 0x0b15d52f29d51978, 0.00059401641824249158, 5.3831272727272705e-05},
+		{"j-parallel", false, 4096, 0x19b679bffcf1c15d, 0.0022760629655172505, 5.3831272727272813e-05},
+		{"w-parallel", false, 4096, 0x0dc94662b251ca68, 0.0044576519224137929, 0.00027896945454545293},
+		{"jw-parallel", false, 4096, 0xaa818f6a27219b31, 0.0010617280978865405, 0.00051479272727272644},
+		{"jw-parallel-x2", false, 1024, 0xad5478fe19182552, 8.4946073414905472e-05, 0.000146456},
+		{"jw-parallel-x4", false, 1024, 0xad5478fe19182552, 8.37249833147942e-05, 0.000146432},
+		{"jw-parallel-x2", false, 4096, 0xaa818f6a27219b31, 0.00055552600667408227, 0.00051464654545454558},
+		{"jw-parallel-x4", false, 4096, 0xaa818f6a27219b31, 0.00031470055617352618, 0.00051455272727272722},
+		{"jw-parallel", true, 1024, 0xad5478fe19182552, 0.00048935244181034479, 0.00014650181818181846},
+		{"jw-parallel", true, 4096, 0xaa818f6a27219b31, 0.0019271874698275869, 0.00051479272727272644},
 	}
 	for _, g := range golden {
 		sys := ic.Plummer(g.n, 42)
 		plan, err := NewPlanByName(g.plan) // default device: the HD5850
 		if err != nil {
 			t.Fatal(err)
+		}
+		if g.unstaged {
+			plan.(*JWParallel).DisableLDSStaging = true
 		}
 		prof, err := plan.Accel(sys)
 		if err != nil {
