@@ -16,8 +16,10 @@ import (
 // one group race exactly when they carry the same phase and at least one is
 // a write — the group barrier is the only happens-before edge the language
 // offers. Keying the check on the phase, not on wall-clock interleaving,
-// makes detection deterministic: whichever of the two racing accesses the
-// scheduler runs second finds the first one's shadow record and traps.
+// makes detection independent of the schedule: whichever of the two racing
+// accesses the scheduler runs second finds the first one's shadow record
+// (see slotShadow) and traps. Which access traps, and so the position the
+// trap names, can still vary between runs.
 //
 // Barrier divergence is detected at retirement: work-items of one group
 // that executed different barrier counts took divergent paths through a
@@ -47,16 +49,21 @@ type groupShadow struct {
 	exitSet   bool
 }
 
-// slotShadow remembers the most recent write and read of one __local float
-// slot. A single record per kind is enough for deterministic detection: a
-// lane's write to its own slot precedes its reads of others' (program
-// order), so in any schedule of a racy kernel some access observes a
-// conflicting record before it is overwritten.
+// slotShadow remembers the most recent write of one __local float slot and
+// the reads of it in the latest phase that read it. One write record is
+// enough: a second write in the same phase by another lane traps before it
+// can replace the first. Reads need more, because a read by one lane does
+// not conflict with a read by another: after lanes A and B both read, a
+// write by B still races with A's read. So the record keeps the first
+// reader of the phase and, once a different lane reads, that second reader
+// too; a write traps when any reader of its phase is another lane.
 type slotShadow struct {
 	wLane, wPhase int
 	hasW          bool
 	rLane, rPhase int
 	hasR          bool
+	// rOther is a reader of phase rPhase other than rLane, or -1.
+	rOther int
 }
 
 func (st *CheckedState) group(id int) *groupShadow {
@@ -100,14 +107,23 @@ func (c *checkedItem) access(slot int32, write bool, tok Token) {
 		panic(fmt.Sprintf("clc: %s: checked: localrace: %s of __local slot %d by work-item %d races with a write by work-item %d in the same barrier phase",
 			tok.Pos(), kind, slot, c.lane, s.wLane))
 	}
-	if write {
-		if s.hasR && s.rPhase == c.phase && s.rLane != c.lane {
-			panic(fmt.Sprintf("clc: %s: checked: localrace: write of __local slot %d by work-item %d races with a read by work-item %d in the same barrier phase",
-				tok.Pos(), slot, c.lane, s.rLane))
+	switch {
+	case write:
+		if s.hasR && s.rPhase == c.phase {
+			reader := s.rLane
+			if reader == c.lane {
+				reader = s.rOther
+			}
+			if reader >= 0 {
+				panic(fmt.Sprintf("clc: %s: checked: localrace: write of __local slot %d by work-item %d races with a read by work-item %d in the same barrier phase",
+					tok.Pos(), slot, c.lane, reader))
+			}
 		}
 		s.wLane, s.wPhase, s.hasW = c.lane, c.phase, true
-	} else {
-		s.rLane, s.rPhase, s.hasR = c.lane, c.phase, true
+	case !s.hasR || s.rPhase != c.phase:
+		s.rLane, s.rPhase, s.hasR, s.rOther = c.lane, c.phase, true, -1
+	case s.rLane != c.lane:
+		s.rOther = c.lane
 	}
 }
 
