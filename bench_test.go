@@ -247,29 +247,40 @@ func BenchmarkHostPipeline(b *testing.B) {
 }
 
 // BenchmarkEmulatorOverhead isolates the simulator's own cost: an empty
-// kernel across many groups, and a barrier-heavy kernel.
+// kernel across many groups, and a barrier-heavy kernel, each written as a
+// lane loop and as a PerItem body.
 func BenchmarkEmulatorOverhead(b *testing.B) {
 	dev := gpusim.MustNewDevice(gpusim.HD5850())
-	b.Run("empty-kernel-256-groups", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dev.Launch("empty", func(wi *gpusim.Item) {}, gpusim.LaunchParams{
-				Global: 256 * 64, Local: 64,
-			}); err != nil {
-				b.Fatal(err)
+	kernels := []struct {
+		name   string
+		fn     gpusim.KernelFunc
+		params gpusim.LaunchParams
+	}{
+		{"empty-kernel-256-groups/lanes", func(g *gpusim.Group) {},
+			gpusim.LaunchParams{Global: 256 * 64, Local: 64}},
+		{"empty-kernel-256-groups/peritem", gpusim.PerItem(func(wi *gpusim.Item) {}),
+			gpusim.LaunchParams{Global: 256 * 64, Local: 64}},
+		{"barrier-heavy/lanes", func(g *gpusim.Group) {
+			for k := 0; k < 32; k++ {
+				g.Barrier()
 			}
-		}
-	})
-	b.Run("barrier-heavy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dev.Launch("barriers", func(wi *gpusim.Item) {
-				for k := 0; k < 32; k++ {
-					wi.Barrier()
+		}, gpusim.LaunchParams{Global: 16 * 64, Local: 64}},
+		{"barrier-heavy/peritem", gpusim.PerItem(func(wi *gpusim.Item) {
+			for k := 0; k < 32; k++ {
+				wi.Barrier()
+			}
+		}), gpusim.LaunchParams{Global: 16 * 64, Local: 64}},
+	}
+	for _, k := range kernels {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := dev.Launch(k.name, k.fn, k.params); err != nil {
+					b.Fatal(err)
 				}
-			}, gpusim.LaunchParams{Global: 16 * 64, Local: 64}); err != nil {
-				b.Fatal(err)
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkAblationGroupCap sweeps the jw-parallel walk size, the design

@@ -71,7 +71,7 @@ func TestTimelineAdvancesInOrder(t *testing.T) {
 
 	q.EnqueueWriteF32(buf, make([]float32, 64))
 	q.EnqueueHostWork("prep", 1e-3)
-	_, err := q.EnqueueNDRange("k", func(wi *gpusim.Item) { wi.Flops(10) },
+	_, err := q.EnqueueNDRange("k", gpusim.PerItem(func(wi *gpusim.Item) { wi.Flops(10) }),
 		gpusim.LaunchParams{Global: 8, Local: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestProfileAggregation(t *testing.T) {
 
 	q.EnqueueWriteF32(buf, make([]float32, 64))
 	q.EnqueueHostWork("tree", 2e-3)
-	ev, err := q.EnqueueNDRange("k", func(wi *gpusim.Item) { wi.Flops(100) },
+	ev, err := q.EnqueueNDRange("k", gpusim.PerItem(func(wi *gpusim.Item) { wi.Flops(100) }),
 		gpusim.LaunchParams{Global: 16, Local: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestQueueReset(t *testing.T) {
 func TestKernelErrorPropagates(t *testing.T) {
 	ctx := newTestContext(t)
 	q := ctx.NewQueue()
-	_, err := q.EnqueueNDRange("bad", func(wi *gpusim.Item) { panic("kernel bug") },
+	_, err := q.EnqueueNDRange("bad", gpusim.PerItem(func(wi *gpusim.Item) { panic("kernel bug") }),
 		gpusim.LaunchParams{Global: 8, Local: 8})
 	if err == nil {
 		t.Fatal("kernel panic not surfaced")

@@ -26,10 +26,10 @@ func decodeTrace(t *testing.T, raw []byte) (events []obs.TraceEvent, otherData m
 func launchOnce(t *testing.T, q *Queue, name string, n int) *gpusim.Result {
 	t.Helper()
 	buf := q.ctx.Device().NewBufferF32(name+".buf", n)
-	ev, err := q.EnqueueNDRange(name, func(wi *gpusim.Item) {
+	ev, err := q.EnqueueNDRange(name, gpusim.PerItem(func(wi *gpusim.Item) {
 		wi.LoadGlobalF32(buf, wi.GlobalID()%n)
 		wi.Flops(4)
-	}, gpusim.LaunchParams{Global: n, Local: 8})
+	}), gpusim.LaunchParams{Global: n, Local: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestWriteMergedTraceOverlappedSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := q.EnqueueNDRange("force", func(wi *gpusim.Item) { wi.Flops(4) },
+	ev, err := q.EnqueueNDRange("force", gpusim.PerItem(func(wi *gpusim.Item) { wi.Flops(4) }),
 		gpusim.LaunchParams{Global: 16, Local: 8}, up)
 	if err != nil {
 		t.Fatal(err)

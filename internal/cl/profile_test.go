@@ -39,7 +39,7 @@ func TestProfileInterleavedKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.EnqueueHostWork("lists", 3e-3)
-	if _, err := q.EnqueueNDRange("k", func(wi *gpusim.Item) { wi.Flops(10) },
+	if _, err := q.EnqueueNDRange("k", gpusim.PerItem(func(wi *gpusim.Item) { wi.Flops(10) }),
 		gpusim.LaunchParams{Global: 8, Local: 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestOutOfOrderTransfersAndKernels(t *testing.T) {
 	if up.Start != 0 {
 		t.Errorf("independent upload starts at %g, want 0", up.Start)
 	}
-	k, err := q.EnqueueNDRange("k", func(wi *gpusim.Item) { wi.Flops(10) },
+	k, err := q.EnqueueNDRange("k", gpusim.PerItem(func(wi *gpusim.Item) { wi.Flops(10) }),
 		gpusim.LaunchParams{Global: 8, Local: 8}, up, tree)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestQueueObserveEmitsMetricsAndSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.EnqueueHostWork("prep", 1e-3)
-	if _, err := q.EnqueueNDRange("k", func(wi *gpusim.Item) { wi.Flops(10) },
+	if _, err := q.EnqueueNDRange("k", gpusim.PerItem(func(wi *gpusim.Item) { wi.Flops(10) }),
 		gpusim.LaunchParams{Global: 8, Local: 8}); err != nil {
 		t.Fatal(err)
 	}

@@ -86,6 +86,39 @@ func TestCheckedModeTrapsRaceAtLaunch(t *testing.T) {
 	// goroutine level too, and would trip `go test -race`.)
 }
 
+// hugeLocalSrc passes the strict build but declares far more __local
+// memory than any device has: 2^62 floats, whose byte count overflows int.
+const hugeLocalSrc = `
+__kernel void huge(__global float* dst, int n) {
+    __local float t[4611686018427387904];
+    int i = get_global_id(0);
+    int l = get_local_id(0);
+    t[l] = 1.0f;
+    barrier(CLK_LOCAL_MEM_FENCE);
+    float v = t[l];
+    if (i < n) { dst[i] = v; }
+}`
+
+func TestEnqueueRejectsHugeLocalArray(t *testing.T) {
+	ctx := newTestContext(t)
+	prog, err := ctx.CreateProgram(hugeLocalSrc)
+	if err != nil {
+		t.Fatalf("strict build rejected the kernel: %v", err)
+	}
+	k, err := prog.CreateKernel("huge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := ctx.Device().NewBufferF32("dst", 8)
+	if err := k.SetArgs(dst, 8); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ctx.NewQueue().EnqueueCLKernel(k, 8, 8)
+	if err == nil || !strings.Contains(err.Error(), "LDS") {
+		t.Fatalf("huge __local array: err = %v, want an LDS size error", err)
+	}
+}
+
 // cleanStageSrc has racySrc's signature with the missing barriers added, so
 // it can actually be launched at the end of the SetArgs test.
 const cleanStageSrc = `

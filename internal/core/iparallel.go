@@ -60,7 +60,7 @@ func (p *IParallel) kernel() gpusim.KernelFunc {
 	posm := p.bufPosM
 	out := p.bufAcc
 
-	return func(wi *gpusim.Item) {
+	return gpusim.PerItem(func(wi *gpusim.Item) {
 		i := wi.GlobalID()
 		l := wi.LocalID()
 		ls := wi.LocalSize()
@@ -106,7 +106,7 @@ func (p *IParallel) kernel() gpusim.KernelFunc {
 		dst[4*i+1] = ay * g
 		dst[4*i+2] = az * g
 		dst[4*i+3] = 0
-	}
+	})
 }
 
 // graph builds the plan's stage graph: upload positions, launch the force

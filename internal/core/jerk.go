@@ -115,7 +115,7 @@ func (u *jerkUnit) iKernel() gpusim.KernelFunc {
 	posm, vel, idx := u.bufPosM, u.bufVel, u.bufActive
 	accOut, jerkOut := u.bufAcc, u.bufJerk
 
-	return func(wi *gpusim.Item) {
+	return gpusim.PerItem(func(wi *gpusim.Item) {
 		k := wi.GlobalID()
 		l := wi.LocalID()
 		ls := wi.LocalSize()
@@ -175,7 +175,7 @@ func (u *jerkUnit) iKernel() gpusim.KernelFunc {
 		dstJ[4*k+1] = jy * g
 		dstJ[4*k+2] = jz * g
 		dstJ[4*k+3] = 0
-	}
+	})
 }
 
 // jKernel is the j-parallel jerk kernel: one work-group per active body;
@@ -188,7 +188,7 @@ func (u *jerkUnit) jKernel() gpusim.KernelFunc {
 	posm, vel, idx := u.bufPosM, u.bufVel, u.bufActive
 	accOut, jerkOut := u.bufAcc, u.bufJerk
 
-	return func(wi *gpusim.Item) {
+	return gpusim.PerItem(func(wi *gpusim.Item) {
 		k := wi.GroupID() // one work-group per active body
 		l := wi.LocalID()
 		ls := wi.LocalSize()
@@ -258,7 +258,7 @@ func (u *jerkUnit) jKernel() gpusim.KernelFunc {
 			dstJ[4*k+2] = lds[5] * g
 			dstJ[4*k+3] = 0
 		}
-	}
+	})
 }
 
 // graph builds the unit's stage graph for the selected plan: upload the

@@ -65,7 +65,7 @@ func (p *JParallel) kernel() gpusim.KernelFunc {
 	posm := p.bufPosM
 	out := p.bufAcc
 
-	return func(wi *gpusim.Item) {
+	return gpusim.PerItem(func(wi *gpusim.Item) {
 		i := wi.GroupID() // one work-group per body
 		l := wi.LocalID()
 		ls := wi.LocalSize()
@@ -118,7 +118,7 @@ func (p *JParallel) kernel() gpusim.KernelFunc {
 			dst[4*i+2] = lds[2] * g
 			dst[4*i+3] = 0
 		}
-	}
+	})
 }
 
 // graph builds the plan's stage graph: upload positions, launch the

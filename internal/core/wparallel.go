@@ -65,7 +65,7 @@ func (p *WParallel) kernel() gpusim.KernelFunc {
 	eps2 := p.Opt.Eps * p.Opt.Eps
 	bufSrc, bufPos, bufLists, bufDesc, bufAcc := p.bufSrc, p.bufPos, p.bufLists, p.bufDesc, p.bufAcc
 
-	return func(wi *gpusim.Item) {
+	return gpusim.PerItem(func(wi *gpusim.Item) {
 		w := wi.GroupID() // one work-group per walk
 		l := wi.LocalID()
 		desc := wi.RawGlobalI32(bufDesc)
@@ -109,7 +109,7 @@ func (p *WParallel) kernel() gpusim.KernelFunc {
 		acc[4*slot+1] = ay * g
 		acc[4*slot+2] = az * g
 		acc[4*slot+3] = 0
-	}
+	})
 }
 
 // graph builds the plan's stage graph: the treecode host front (tree, list),

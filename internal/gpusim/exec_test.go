@@ -17,16 +17,18 @@ func testDev(t testing.TB) *Device {
 
 func TestLaunchParamValidation(t *testing.T) {
 	d := testDev(t)
-	noop := func(wi *Item) {}
+	noop := PerItem(func(wi *Item) {})
 	cases := []LaunchParams{
 		{Global: 0, Local: 8},
 		{Global: 8, Local: 0},
 		{Global: 10, Local: 8}, // not a multiple
 		{Global: 8, Local: 8, LDSFloats: 1 << 20},
+		{Global: 8, Local: 8, LDSFloats: -1},
+		{Global: 8, Local: 8, LDSFloats: 1 << 62}, // LDSFloats*4 overflows int
 	}
 	for _, p := range cases {
-		if _, err := d.Launch("bad", noop, p); err == nil {
-			t.Errorf("params %+v accepted", p)
+		if _, err := d.Launch("bad", noop, p); err == nil || !strings.Contains(err.Error(), "kernel bad") {
+			t.Errorf("params %+v: err = %v, want an error naming the kernel", p, err)
 		}
 	}
 }
@@ -35,7 +37,7 @@ func TestIDsAndGeometry(t *testing.T) {
 	d := testDev(t)
 	const global, local = 64, 16
 	var hits [global]int32
-	_, err := d.Launch("ids", func(wi *Item) {
+	_, err := d.Launch("ids", PerItem(func(wi *Item) {
 		atomic.AddInt32(&hits[wi.GlobalID()], 1)
 		if wi.GlobalID() != wi.GroupID()*local+wi.LocalID() {
 			panic("id mismatch")
@@ -43,7 +45,7 @@ func TestIDsAndGeometry(t *testing.T) {
 		if wi.LocalSize() != local || wi.GlobalSize() != global || wi.NumGroups() != global/local {
 			panic("geometry mismatch")
 		}
-	}, LaunchParams{Global: global, Local: local})
+	}), LaunchParams{Global: global, Local: local})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestBarrierLockstep(t *testing.T) {
 	d := testDev(t)
 	const local = 16
 	buf := d.NewBufferF32("phase", local)
-	res, err := d.Launch("lockstep", func(wi *Item) {
+	res, err := d.Launch("lockstep", PerItem(func(wi *Item) {
 		lds := wi.RawLDS()
 		for phase := 0; phase < 10; phase++ {
 			if wi.LocalID() == 0 {
@@ -76,7 +78,7 @@ func TestBarrierLockstep(t *testing.T) {
 		if wi.GroupID() == 0 {
 			wi.StoreGlobalF32(buf, wi.LocalID(), 1)
 		}
-	}, LaunchParams{Global: local * 2, Local: local, LDSFloats: 4})
+	}), LaunchParams{Global: local * 2, Local: local, LDSFloats: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +91,13 @@ func TestBarrierWithEarlyExit(t *testing.T) {
 	// Half the items return before the barrier; the rest must not deadlock.
 	d := testDev(t)
 	done := int32(0)
-	_, err := d.Launch("early-exit", func(wi *Item) {
+	_, err := d.Launch("early-exit", PerItem(func(wi *Item) {
 		if wi.LocalID()%2 == 0 {
 			return
 		}
 		wi.Barrier()
 		atomic.AddInt32(&done, 1)
-	}, LaunchParams{Global: 16, Local: 16})
+	}), LaunchParams{Global: 16, Local: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +112,13 @@ func TestLDSVisibilityAcrossBarrier(t *testing.T) {
 	d := testDev(t)
 	const local = 8
 	out := d.NewBufferF32("out", local)
-	_, err := d.Launch("exchange", func(wi *Item) {
+	_, err := d.Launch("exchange", PerItem(func(wi *Item) {
 		l := wi.LocalID()
 		wi.StoreLDS(l, float32(l*10))
 		wi.Barrier()
 		v := wi.LoadLDS((l + 1) % local)
 		wi.StoreGlobalF32(out, l, v)
-	}, LaunchParams{Global: local, Local: local, LDSFloats: local})
+	}), LaunchParams{Global: local, Local: local, LDSFloats: local})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +134,13 @@ func TestLDSIsPerGroup(t *testing.T) {
 	// Groups must not see each other's local memory.
 	d := testDev(t)
 	out := d.NewBufferF32("out", 16)
-	_, err := d.Launch("lds-isolation", func(wi *Item) {
+	_, err := d.Launch("lds-isolation", PerItem(func(wi *Item) {
 		if wi.LocalID() == 0 {
 			wi.StoreLDS(0, float32(wi.GroupID()+1))
 		}
 		wi.Barrier()
 		wi.StoreGlobalF32(out, wi.GlobalID(), wi.LoadLDS(0))
-	}, LaunchParams{Global: 16, Local: 8, LDSFloats: 4})
+	}), LaunchParams{Global: 16, Local: 8, LDSFloats: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestCounterAccounting(t *testing.T) {
 	d := testDev(t)
 	buf := d.NewBufferF32("data", 64)
 	ibuf := d.NewBufferI32("idx", 64)
-	res, err := d.Launch("counters", func(wi *Item) {
+	res, err := d.Launch("counters", PerItem(func(wi *Item) {
 		// Each lane touches its own addresses; the scattered/coalesced
 		// classification is the accessor's, not the index pattern's.
 		g := wi.GlobalID()
@@ -175,7 +177,7 @@ func TestCounterAccounting(t *testing.T) {
 		wi.ChargeLDS(8)
 		wi.Flops(7)
 		wi.Aux(3)
-	}, LaunchParams{Global: 16, Local: 8, LDSFloats: 8})
+	}), LaunchParams{Global: 16, Local: 8, LDSFloats: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +204,10 @@ func TestCounterAccounting(t *testing.T) {
 
 func TestDivergenceUsesWavefrontMax(t *testing.T) {
 	d := testDev(t) // wavefront 8
-	res, err := d.Launch("divergent", func(wi *Item) {
+	res, err := d.Launch("divergent", PerItem(func(wi *Item) {
 		// Lane l performs l flops: wavefront max is 7 per 8-lane wavefront.
 		wi.Flops(wi.LocalID())
-	}, LaunchParams{Global: 16, Local: 16})
+	}), LaunchParams{Global: 16, Local: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,24 +237,24 @@ func TestDivergenceFactorUniformIsOne(t *testing.T) {
 
 func TestKernelPanicBecomesError(t *testing.T) {
 	d := testDev(t)
-	_, err := d.Launch("panics", func(wi *Item) {
+	_, err := d.Launch("panics", PerItem(func(wi *Item) {
 		panic("boom")
-	}, LaunchParams{Global: 8, Local: 8})
+	}), LaunchParams{Global: 8, Local: 8})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
 	}
 	// Out-of-range buffer access is also converted.
 	buf := d.NewBufferF32("small", 4)
-	_, err = d.Launch("overrun", func(wi *Item) {
+	_, err = d.Launch("overrun", PerItem(func(wi *Item) {
 		wi.StoreGlobalF32(buf, 100, 1)
-	}, LaunchParams{Global: 8, Local: 8})
+	}), LaunchParams{Global: 8, Local: 8})
 	if err == nil || !strings.Contains(err.Error(), "small") {
 		t.Fatalf("overrun err = %v", err)
 	}
 	// Type confusion too.
-	_, err = d.Launch("confused", func(wi *Item) {
+	_, err = d.Launch("confused", PerItem(func(wi *Item) {
 		wi.LoadGlobalI32(buf, 0)
-	}, LaunchParams{Global: 8, Local: 8})
+	}), LaunchParams{Global: 8, Local: 8})
 	if err == nil || !strings.Contains(err.Error(), "int access") {
 		t.Fatalf("type confusion err = %v", err)
 	}
@@ -267,14 +269,14 @@ func TestLaunchIsDeterministic(t *testing.T) {
 		for i := range in.HostF32() {
 			in.HostF32()[i] = float32(i)
 		}
-		res, err := d.Launch("det", func(wi *Item) {
+		res, err := d.Launch("det", PerItem(func(wi *Item) {
 			var sum float32
 			for j := 0; j < 64; j++ {
 				sum += wi.LoadGlobalF32(in, j)
 			}
 			wi.Flops(64)
 			wi.StoreGlobalF32(out, wi.GlobalID(), sum*float32(wi.GlobalID()))
-		}, LaunchParams{Global: 64, Local: 8})
+		}), LaunchParams{Global: 64, Local: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,10 +388,10 @@ func TestAtomicAddGlobal(t *testing.T) {
 	// be exact despite concurrent execution.
 	d := testDev(t)
 	hist := d.NewBufferI32("hist", 4)
-	res, err := d.Launch("histogram", func(wi *Item) {
+	res, err := d.Launch("histogram", PerItem(func(wi *Item) {
 		bin := wi.GlobalID() % 4
 		wi.AtomicAddGlobalI32(hist, bin, 1)
-	}, LaunchParams{Global: 64, Local: 8})
+	}), LaunchParams{Global: 64, Local: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,9 +410,9 @@ func TestAtomicAddGlobal(t *testing.T) {
 	}
 	// Type check still applies.
 	fbuf := d.NewBufferF32("f", 4)
-	if _, err := d.Launch("bad", func(wi *Item) {
+	if _, err := d.Launch("bad", PerItem(func(wi *Item) {
 		wi.AtomicAddGlobalI32(fbuf, 0, 1)
-	}, LaunchParams{Global: 8, Local: 8}); err == nil {
+	}), LaunchParams{Global: 8, Local: 8}); err == nil {
 		t.Error("atomic on float buffer accepted")
 	}
 }

@@ -10,11 +10,11 @@ import (
 func launchUniform(t *testing.T, d *Device, groups int, flops, coalesced, scattered, lds int) *Result {
 	t.Helper()
 	local := d.Config.WavefrontSize
-	res, err := d.Launch("uniform", func(wi *Item) {
+	res, err := d.Launch("uniform", PerItem(func(wi *Item) {
 		wi.Flops(flops)
 		wi.ChargeGlobal(coalesced, scattered)
 		wi.ChargeLDS(lds)
-	}, LaunchParams{Global: groups * local, Local: local, LDSFloats: 16})
+	}), LaunchParams{Global: groups * local, Local: local, LDSFloats: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +100,10 @@ func TestLDSLimitsResidency(t *testing.T) {
 	d, _ := NewDevice(cfg)
 	local := cfg.WavefrontSize
 	mk := func(ldsFloats int) float64 {
-		res, err := d.Launch("lds-occ", func(wi *Item) {
+		res, err := d.Launch("lds-occ", PerItem(func(wi *Item) {
 			wi.Flops(10)
 			wi.ChargeGlobal(4000, 0)
-		}, LaunchParams{Global: 64 * local, Local: local, LDSFloats: ldsFloats})
+		}), LaunchParams{Global: 64 * local, Local: local, LDSFloats: ldsFloats})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,12 +120,12 @@ func TestBarrierCost(t *testing.T) {
 	d := testDev(t)
 	local := d.Config.WavefrontSize
 	mk := func(barriers int) float64 {
-		res, err := d.Launch("barriers", func(wi *Item) {
+		res, err := d.Launch("barriers", PerItem(func(wi *Item) {
 			wi.Flops(10)
 			for i := 0; i < barriers; i++ {
 				wi.Barrier()
 			}
-		}, LaunchParams{Global: 4 * local, Local: local})
+		}), LaunchParams{Global: 4 * local, Local: local})
 		if err != nil {
 			t.Fatal(err)
 		}

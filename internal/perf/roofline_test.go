@@ -13,12 +13,12 @@ func launchResult(t *testing.T, flopsPerItem int, bytesPerItem int) *gpusim.Resu
 	t.Helper()
 	dev := gpusim.MustNewDevice(gpusim.TestDevice())
 	buf := dev.NewBufferF32("x", 64)
-	res, err := dev.Launch("test.kernel", func(wi *gpusim.Item) {
+	res, err := dev.Launch("test.kernel", gpusim.PerItem(func(wi *gpusim.Item) {
 		for b := 0; b < bytesPerItem/4; b++ {
 			wi.LoadGlobalF32(buf, wi.GlobalID()%64)
 		}
 		wi.Flops(flopsPerItem)
-	}, gpusim.LaunchParams{Global: 64, Local: 8})
+	}), gpusim.LaunchParams{Global: 64, Local: 8})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}

@@ -88,7 +88,7 @@ func TestExecuteInOrderSchedule(t *testing.T) {
 			Run: func(ec *ExecCtx) (*cl.Event, error) { return ec.Queue.EnqueueWriteF32(buf, data, ec.Deps...) }}).
 		Add(Stage{Name: "force", Kind: Kernel, Deps: []string{"up"},
 			Run: func(ec *ExecCtx) (*cl.Event, error) {
-				return ec.Queue.EnqueueNDRange("k", func(wi *gpusim.Item) { wi.Flops(16) },
+				return ec.Queue.EnqueueNDRange("k", gpusim.PerItem(func(wi *gpusim.Item) { wi.Flops(16) }),
 					gpusim.LaunchParams{Global: 8, Local: 8}, ec.Deps...)
 			}}).
 		Add(Stage{Name: "down", Kind: Download, Deps: []string{"force"},
