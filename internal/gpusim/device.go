@@ -4,9 +4,12 @@
 // The simulator has two halves that share one execution:
 //
 //   - A functional half: kernels are ordinary Go functions invoked once per
-//     work-item, with real work-group barriers (work-items of a group run as
-//     lockstep goroutines) and real local memory, so a kernel's numerical
-//     output can be validated against the CPU reference.
+//     work-group, with real local memory, so a kernel's numerical output can
+//     be validated against the CPU reference. A kernel runs its work-items as
+//     loops over the group's lanes, and a work-group barrier is the boundary
+//     between two such loops: the loop after it sees everything the loop
+//     before it wrote. Bodies written for one work-item run through PerItem,
+//     which gives each work-item a goroutine and a real barrier.
 //
 //   - An analytic half: every global-memory access, local-memory access and
 //     ALU operation a kernel performs is charged to per-work-item counters,
@@ -18,7 +21,9 @@
 // The paper's PTPM (parallel time-space processing model) reasons about how
 // a computation grid maps onto the space axis (work-items / wavefronts /
 // compute units) and the time axis (execution steps); this package is the
-// machine that makes those mappings executable and measurable.
+// machine that makes those mappings executable and measurable. A lane-loop
+// kernel spells the grid out: its lanes are the space axis, and the phases
+// between its barriers the time axis.
 package gpusim
 
 import "fmt"
