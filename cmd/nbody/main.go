@@ -80,7 +80,7 @@ func main() {
 	mode := pipe.Mode()
 
 	var o *obs.Obs
-	if *metricsTo != "" || *traceTo != "" || *debugAddr != "" || *perfTo != "" {
+	if *metricsTo != "" || *traceTo != "" || *debugAddr != "" {
 		o = obs.New()
 	}
 	if err := core.PreflightKernelCheck(kcheck.Mode(), o, os.Stderr); err != nil {
@@ -249,7 +249,7 @@ func main() {
 		if pe == nil || pe.LastProfile == nil {
 			fail(fmt.Errorf("-perf-report requires a GPU engine (got %s)", eng.Name()))
 		}
-		if err := writePerfReport(*perfTo, o, pe, device.Config()); err != nil {
+		if err := writePerfReport(*perfTo, pe, device.Config()); err != nil {
 			fail(err)
 		}
 		fmt.Printf("wrote perf report to %s\n", *perfTo)
@@ -257,15 +257,15 @@ func main() {
 }
 
 // writePerfReport builds the critical-path + roofline analysis of the run's
-// final force evaluation (the span bundle covers the whole run, so the stage
-// attribution aggregates every step).
-func writePerfReport(path string, o *obs.Obs, pe *core.Engine, dev gpusim.DeviceConfig) error {
+// final force evaluation from its executed stage schedule (use -perf-summary
+// for the attribution over every step).
+func writePerfReport(path string, pe *core.Engine, dev gpusim.DeviceConfig) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	rep := perf.BuildPlanReport(dev, pe.LastProfile, o.Trace.Spans())
+	rep := perf.BuildPlanReport(dev, pe.LastProfile)
 	if err := rep.WriteJSON(f); err != nil {
 		return err
 	}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/body"
 	"repro/internal/cl"
 	"repro/internal/gpusim"
+	"repro/internal/pipeline"
 	"repro/internal/pp"
 )
 
@@ -25,13 +27,11 @@ type CLPlanPP struct {
 	// for jparallel).
 	GroupSize int
 
-	ctx     *cl.Context
-	queue   *cl.Queue
+	planBase
+
 	kernel  *cl.CLKernel
 	bufPosM *gpusim.Buffer
 	bufAcc  *gpusim.Buffer
-	nPad    int
-	n       int
 	hostIn  []float32
 	hostOut []float32
 }
@@ -60,8 +60,7 @@ func newCLPlanPP(ctx *cl.Context, params pp.Params, variant string) (*CLPlanPP, 
 		Params:    params,
 		Variant:   variant,
 		GroupSize: groupSize,
-		ctx:       ctx,
-		queue:     ctx.NewQueue(),
+		planBase:  newPlanBase(ctx),
 		kernel:    kern,
 	}, nil
 }
@@ -78,62 +77,39 @@ func (p *CLPlanPP) Accel(s *body.System) (*RunProfile, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("core: %s: empty system", p.Name())
 	}
+	hostStart := time.Now() // repocheck:allow nodeterminism -- measured host wall time for perf attribution; modelled timings come from the launch results
 	local := p.GroupSize
 	nPad := roundUp(n, local)
-	if nPad != p.nPad || n != p.n || p.bufPosM == nil {
-		dev := p.ctx.Device()
-		p.nPad = nPad
-		p.n = n
-		p.bufPosM = dev.NewBufferF32(p.Variant+".posm", 4*nPad)
-		accLen := 4 * nPad
-		if p.Variant == "jparallel" {
-			accLen = 4 * n
-		}
-		p.bufAcc = dev.NewBufferF32(p.Variant+".acc", accLen)
-		p.hostOut = make([]float32, accLen)
-	}
-	p.hostIn = flattenPadded(s, nPad, p.hostIn)
-
-	q := p.queue
-	q.Reset()
-	if _, err := q.EnqueueWriteF32(p.bufPosM, p.hostIn); err != nil {
-		return nil, err
-	}
-
-	eps2 := p.Params.Eps * p.Params.Eps
-	var global int
-	var interactions int64
-	switch p.Variant {
-	case "iparallel":
-		if err := p.kernel.SetArgs(p.bufPosM, p.bufAcc, cl.LocalFloats(4*local),
-			nPad, eps2, p.Params.G); err != nil {
-			return nil, err
-		}
-		global = nPad
-		interactions = int64(nPad) * int64(nPad)
-	case "jparallel":
-		if err := p.kernel.SetArgs(p.bufPosM, p.bufAcc, cl.LocalFloats(3*local),
-			nPad, eps2, p.Params.G); err != nil {
-			return nil, err
-		}
-		global = n * local
+	// i-parallel: one work-item per padded body, a float4 tile per lane.
+	// j-parallel: one work-group per body, a float3 partial sum per lane.
+	global, accLen, ldsPerLane := nPad, 4*nPad, 4
+	interactions := int64(nPad) * int64(nPad)
+	if p.Variant == "jparallel" {
+		global, accLen, ldsPerLane = n*local, 4*n, 3
 		interactions = int64(n) * int64(nPad)
 	}
-	ev, err := q.EnqueueCLKernel(p.kernel, global, local)
+	p.ensure(p.Variant+".posm", &p.bufPosM, 4*nPad, true)
+	p.ensure(p.Variant+".acc", &p.bufAcc, accLen, true)
+	p.hostOut = resize(p.hostOut, accLen)
+	p.hostIn = flattenPadded(s, nPad, p.hostIn)
+	eps2 := p.Params.Eps * p.Params.Eps
+	if err := p.kernel.SetArgs(p.bufPosM, p.bufAcc, cl.LocalFloats(ldsPerLane*local),
+		nPad, eps2, p.Params.G); err != nil {
+		return nil, err
+	}
+	hostWall := time.Since(hostStart).Seconds() // repocheck:allow nodeterminism -- measured host wall time for perf attribution; modelled timings come from the launch results
+
+	g := pipeline.NewGraph(p.Name()).
+		Add(stageUploadF32("upload:posm", p.bufPosM, p.hostIn)).
+		Add(pipeline.Stage{Name: "force", Kind: pipeline.Kernel, Deps: []string{"upload:posm"},
+			Run: func(ec *pipeline.ExecCtx) (*cl.Event, error) {
+				return ec.Queue.EnqueueCLKernel(p.kernel, global, local, ec.Deps...)
+			}}).
+		Add(stageDownloadF32("download:acc", p.bufAcc, p.hostOut, "force"))
+	rp, err := p.run(g, p.Name(), n, interactions, hostWall)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := q.EnqueueReadF32(p.bufAcc, p.hostOut); err != nil {
-		return nil, err
-	}
 	s.UnflattenAcc(p.hostOut)
-
-	return &RunProfile{
-		Plan:         p.Name(),
-		N:            n,
-		Interactions: interactions,
-		Flops:        interactionFlops(interactions),
-		Profile:      q.Profile(),
-		Launches:     []*gpusim.Result{ev.Result},
-	}, nil
+	return rp, nil
 }

@@ -72,8 +72,8 @@ type Plan interface {
 	// Kind returns the algorithm family.
 	Kind() Kind
 	// Accel computes accelerations into s.Acc and returns the run's
-	// profile. Implementations reuse device buffers across calls when the
-	// body count is unchanged.
+	// profile, whose Schedule is never nil: implementations run the
+	// evaluation as a stage graph and reuse device buffers across calls.
 	Accel(s *body.System) (*RunProfile, error)
 }
 
@@ -92,8 +92,9 @@ type RunProfile struct {
 	Launches []*gpusim.Result
 	// Schedule is the executed stage schedule of the evaluation — which
 	// pipeline stages ran, where they landed on the modelled timeline. The
-	// perf layer attributes this directly; nil for plans that predate the
-	// stage-graph path (e.g. multi-device).
+	// perf layer and the engine's executed timeline read it directly. Every
+	// plan sets it; a multi-device plan reports the schedule of the device
+	// whose chain ends last.
 	Schedule *pipeline.Schedule
 	// HostBuildSeconds is the measured wall-clock cost of the host-side
 	// build for this evaluation (tree + walks + flattening on the machine

@@ -134,17 +134,10 @@ func (e *Engine) account(prof *RunProfile) {
 	e.LastProfile = prof
 	e.PipelinedTotalSeconds += prof.Profile.PipelinedSeconds()
 
-	// Place the evaluation on the executed cross-step timeline. The executed
-	// stage schedule gives the host/device split directly; plans without one
-	// fall back to the per-kind profile (same split, derived differently).
+	// Place the evaluation on the executed cross-step timeline: the executed
+	// stage schedule gives the host/device split.
 	e.runner.Mode = e.Mode
-	host := prof.Profile.HostSeconds
-	dev := prof.Profile.KernelSeconds + prof.Profile.TransferSeconds
-	if prof.Schedule != nil {
-		host = prof.Schedule.HostSeconds()
-		dev = prof.Schedule.DeviceSeconds()
-	}
-	e.runner.Account(host, dev)
+	e.runner.AccountSchedule(prof.Schedule)
 	e.retainSchedule(prof.Schedule)
 
 	if e.obs != nil {
@@ -157,9 +150,9 @@ func (e *Engine) account(prof *RunProfile) {
 }
 
 // SupportsJerk implements the sim.JerkEngine capability probe: the engine can
-// evaluate active-subset acceleration+jerk only when its plan is a PP plan on
-// the simulated device (the treecode has no exact jerk, and the multi-device
-// plan predates the stage-graph path).
+// evaluate active-subset acceleration+jerk only when its plan is one of the
+// Go-kernel PP plans (the treecode has no exact jerk, and the OpenCL C source
+// plans have no jerk kernel).
 func (e *Engine) SupportsJerk() bool {
 	if e.Plan.Kind() != KindPP {
 		return false
@@ -248,7 +241,7 @@ func (e *Engine) RetainedSchedule() (*pipeline.Schedule, bool) {
 // queue per Accel), so spans are shifted by the running end offset before
 // appending; the offset then advances by the evaluation's latest stage end.
 func (e *Engine) retainSchedule(sched *pipeline.Schedule) {
-	if e.retainMax <= 0 || sched == nil || len(sched.Spans) == 0 {
+	if e.retainMax <= 0 || len(sched.Spans) == 0 {
 		return
 	}
 	if e.retained.Graph == "" {

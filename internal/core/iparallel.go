@@ -135,13 +135,9 @@ func (p *IParallel) Accel(s *body.System) (*RunProfile, error) {
 	p.hostIn = flattenPadded(s, p.nPad, p.hostIn)
 	hostWall := time.Since(hostStart).Seconds() // repocheck:allow nodeterminism -- measured host wall time for perf attribution; modelled timings come from the launch results
 
-	rp, err := p.run(p.graph(), p.Name(), n, int64(p.nPad)*int64(p.nPad))
+	rp, err := p.run(p.graph(), p.Name(), n, int64(p.nPad)*int64(p.nPad), hostWall)
 	if err != nil {
 		return nil, err
-	}
-	rp.HostBuildSeconds = hostWall
-	if rp.Schedule != nil {
-		rp.Schedule.HostWallSeconds = hostWall
 	}
 	s.UnflattenAcc(p.hostOut)
 	return rp, nil

@@ -334,13 +334,9 @@ func (u *jerkUnit) eval(s *body.System, active []int, jerk []vec.V3) (*RunProfil
 		interactions = int64(activeN) * int64(u.nPad)
 	}
 	rp, err := u.runFlops(u.graph(plan, activeN), "jerk:"+plan, n,
-		interactions, interactions*pp.FlopsPerJerkInteraction)
+		interactions, interactions*pp.FlopsPerJerkInteraction, hostWall)
 	if err != nil {
 		return nil, err
-	}
-	rp.HostBuildSeconds = hostWall
-	if rp.Schedule != nil {
-		rp.Schedule.HostWallSeconds = hostWall
 	}
 
 	for k, i := range active {

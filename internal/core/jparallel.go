@@ -147,13 +147,9 @@ func (p *JParallel) Accel(s *body.System) (*RunProfile, error) {
 	p.hostIn = flattenPadded(s, p.nPadJ, p.hostIn)
 	hostWall := time.Since(hostStart).Seconds() // repocheck:allow nodeterminism -- measured host wall time for perf attribution; modelled timings come from the launch results
 
-	rp, err := p.run(p.graph(), p.Name(), n, int64(n)*int64(p.nPadJ))
+	rp, err := p.run(p.graph(), p.Name(), n, int64(n)*int64(p.nPadJ), hostWall)
 	if err != nil {
 		return nil, err
-	}
-	rp.HostBuildSeconds = hostWall
-	if rp.Schedule != nil {
-		rp.Schedule.HostWallSeconds = hostWall
 	}
 	s.UnflattenAcc(p.hostOut)
 	return rp, nil

@@ -45,18 +45,12 @@ type JWParallel struct {
 	// speedup comes from.
 	DisableLDSStaging bool
 
-	planBase
+	// jwDevice runs the plan's one device pass, over every walk.
+	jwDevice
 
 	// data is the pooled host-side product of the build; steps 2..K reuse
 	// its arenas.
 	data bhHostData
-	// queues is the pooled scratch of the walk-queue balancing.
-	queues lpt
-
-	bufSrc, bufPos, bufLists, bufDesc *gpusim.Buffer
-	bufQueueWalks, bufQueueDesc       *gpusim.Buffer
-	bufAcc                            *gpusim.Buffer
-	hostAcc                           []float32
 }
 
 // Name implements Plan.
@@ -77,39 +71,6 @@ func (p *JWParallel) Kind() Kind { return KindBH }
 // serial).
 func (p *JWParallel) SetHostWorkers(n int) { p.data.builder.Workers = n }
 
-// graph builds the plan's stage graph: the treecode host front (tree, list),
-// the six uploads (walk data plus the balanced queue tables), the
-// queue-draining kernel, and the download.
-func (p *JWParallel) graph(d *bhHostData, queueWalks, queueDesc []int32, numQueues int) *pipeline.Graph {
-	staged := !p.DisableLDSStaging
-	kernel := jwKernel(jwBuffers{
-		src: p.bufSrc, pos: p.bufPos, lists: p.bufLists, desc: p.bufDesc,
-		queueWalks: p.bufQueueWalks, queueDesc: p.bufQueueDesc, acc: p.bufAcc,
-	}, p.Opt.G, p.Opt.Eps*p.Opt.Eps, staged)
-	lds := 0
-	if staged {
-		lds = 4 * p.LocalSize
-	}
-
-	g := pipeline.NewGraph(p.Name())
-	for _, st := range bhFrontStages(d) {
-		g.Add(st)
-	}
-	return g.
-		Add(stageUploadF32("upload:src", p.bufSrc, d.srcF4, "list")).
-		Add(stageUploadF32("upload:posm", p.bufPos, d.posmSorted, "list")).
-		Add(stageUploadI32("upload:lists", p.bufLists, d.lists, "list")).
-		Add(stageUploadI32("upload:desc", p.bufDesc, d.desc, "list")).
-		Add(stageUploadI32("upload:qwalks", p.bufQueueWalks, queueWalks, "list")).
-		Add(stageUploadI32("upload:qdesc", p.bufQueueDesc, queueDesc, "list")).
-		Add(stageKernel("force", "jwparallel.force", kernel, gpusim.LaunchParams{
-			Global:    numQueues * p.LocalSize,
-			Local:     p.LocalSize,
-			LDSFloats: lds,
-		}, "upload:src", "upload:posm", "upload:lists", "upload:desc", "upload:qwalks", "upload:qdesc")).
-		Add(stageDownloadF32("download:acc", p.bufAcc, p.hostAcc, "force"))
-}
-
 // Accel implements Plan.
 func (p *JWParallel) Accel(s *body.System) (*RunProfile, error) {
 	n := s.N()
@@ -121,28 +82,99 @@ func (p *JWParallel) Accel(s *body.System) (*RunProfile, error) {
 	if err := p.data.build(s, p.Opt, p.GroupCap, p.LocalSize); err != nil {
 		return nil, err
 	}
-	d := &p.data
-	observeBHData(p.obs, d)
-	numQueues := queueCount(p.ctx.Device().Config, p.QueueTarget, d.numWalks)
-	queueWalks, queueDesc := p.queues.balance(d, nil, numQueues)
+	observeBHData(p.obs, &p.data)
+	return p.pass(s, &p.data, nil, p.Opt, p.LocalSize, p.QueueTarget, !p.DisableLDSStaging)
+}
 
-	p.ensure("jwparallel.src", &p.bufSrc, len(d.srcF4), true)
-	p.ensure("jwparallel.posm", &p.bufPos, len(d.posmSorted), true)
-	p.ensure("jwparallel.lists", &p.bufLists, len(d.lists), false)
-	p.ensure("jwparallel.desc", &p.bufDesc, len(d.desc), false)
-	p.ensure("jwparallel.qwalks", &p.bufQueueWalks, len(queueWalks), false)
-	p.ensure("jwparallel.qdesc", &p.bufQueueDesc, len(queueDesc), false)
-	p.ensure("jwparallel.acc", &p.bufAcc, 4*n, true)
-	p.hostAcc = resize(p.hostAcc, 4*n)
+// jwNames are the names one jw device pass gives its graph, its kernel
+// launch and its device buffers, built once per device so a pass allocates
+// none.
+type jwNames struct {
+	graph, kernel                              string
+	src, posm, lists, desc, qwalks, qdesc, acc string
+}
 
-	rp, err := p.run(p.graph(d, queueWalks, queueDesc, numQueues), p.Name(), n, d.interactions)
+// newJWNames names a device's graph and kernel, and its buffers
+// "<prefix>.src", "<prefix>.posm", ...
+func newJWNames(graph, kernel, prefix string) jwNames {
+	return jwNames{
+		graph: graph, kernel: kernel,
+		src: prefix + ".src", posm: prefix + ".posm", lists: prefix + ".lists", desc: prefix + ".desc",
+		qwalks: prefix + ".qwalks", qdesc: prefix + ".qdesc", acc: prefix + ".acc",
+	}
+}
+
+// jwDevice is one device's side of the jw-parallel plan: its queue, its
+// grow-only buffers and its walk-queue balancer. JWParallel runs one pass
+// over every walk; MultiJW runs one per device over that device's shard.
+type jwDevice struct {
+	planBase
+	names   jwNames
+	queues  lpt
+	bufs    jwBuffers
+	hostAcc []float32
+}
+
+// pass evaluates the given walks of d (nil: every walk) on the device. It
+// LPT-balances them into walk queues, runs the stage graph — the treecode
+// host front (tree, list), the six uploads (walk data plus the queue
+// tables), the queue-draining kernel and the download — and writes the
+// accelerations of those walks' bodies into s.Acc.
+func (dv *jwDevice) pass(s *body.System, d *bhHostData, walks []int32, opt bh.Options, localSize, queueTarget int, staged bool) (*RunProfile, error) {
+	n := s.N()
+	count := d.numWalks
+	if walks != nil {
+		count = len(walks)
+	}
+	numQueues := queueCount(dv.ctx.Device().Config, queueTarget, count)
+	queueWalks, queueDesc := dv.queues.balance(d, walks, numQueues)
+
+	nm, b := &dv.names, &dv.bufs
+	dv.ensure(nm.src, &b.src, len(d.srcF4), true)
+	dv.ensure(nm.posm, &b.pos, len(d.posmSorted), true)
+	dv.ensure(nm.lists, &b.lists, len(d.lists), false)
+	dv.ensure(nm.desc, &b.desc, len(d.desc), false)
+	dv.ensure(nm.qwalks, &b.queueWalks, len(queueWalks), false)
+	dv.ensure(nm.qdesc, &b.queueDesc, len(queueDesc), false)
+	dv.ensure(nm.acc, &b.acc, 4*n, true)
+	dv.hostAcc = resize(dv.hostAcc, 4*n)
+
+	lds := 0
+	if staged {
+		lds = 4 * localSize
+	}
+	g := pipeline.NewGraph(nm.graph)
+	for _, st := range bhFrontStages(d) {
+		g.Add(st)
+	}
+	g.Add(stageUploadF32("upload:src", b.src, d.srcF4, "list")).
+		Add(stageUploadF32("upload:posm", b.pos, d.posmSorted, "list")).
+		Add(stageUploadI32("upload:lists", b.lists, d.lists, "list")).
+		Add(stageUploadI32("upload:desc", b.desc, d.desc, "list")).
+		Add(stageUploadI32("upload:qwalks", b.queueWalks, queueWalks, "list")).
+		Add(stageUploadI32("upload:qdesc", b.queueDesc, queueDesc, "list")).
+		Add(stageKernel("force", nm.kernel, jwKernel(*b, opt.G, opt.Eps*opt.Eps, staged), gpusim.LaunchParams{
+			Global:    numQueues * localSize,
+			Local:     localSize,
+			LDSFloats: lds,
+		}, "upload:src", "upload:posm", "upload:lists", "upload:desc", "upload:qwalks", "upload:qdesc")).
+		Add(stageDownloadF32("download:acc", b.acc, dv.hostAcc, "force"))
+
+	rp, err := dv.run(g, nm.graph, n, d.interactions, d.wallSeconds)
 	if err != nil {
 		return nil, err
 	}
-	rp.HostBuildSeconds = d.wallSeconds
-	if rp.Schedule != nil {
-		rp.Schedule.HostWallSeconds = d.wallSeconds
+	// Scatter the walks' slots from tree order back to body order; walks
+	// own disjoint slots, so devices never overwrite each other.
+	for _, w := range queueWalks {
+		first := int(d.desc[w*bhDescStride+0])
+		count := int(d.desc[w*bhDescStride+1])
+		for slot := first; slot < first+count; slot++ {
+			bi := d.tree.Index[slot]
+			s.Acc[bi].X = dv.hostAcc[4*slot+0]
+			s.Acc[bi].Y = dv.hostAcc[4*slot+1]
+			s.Acc[bi].Z = dv.hostAcc[4*slot+2]
+		}
 	}
-	d.unpermuteAcc(s, p.hostAcc)
 	return rp, nil
 }

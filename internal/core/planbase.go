@@ -10,7 +10,7 @@ import (
 // planBase is the host-side machinery every execution plan shares: the
 // context, the plan's command queue, the telemetry bundle, grow-only device
 // buffer management, and the graph runner that turns an executed
-// pipeline.Schedule into a RunProfile. The four plans differ only in their
+// pipeline.Schedule into a RunProfile. The plans differ only in their
 // kernels and in the stage graphs they build; everything between "the host
 // data is ready" and "the RunProfile is assembled" lives here.
 type planBase struct {
@@ -53,28 +53,32 @@ func ensureBuffer(dev *gpusim.Device, name string, buf **gpusim.Buffer, n int, i
 
 // run resets the plan's queue, executes the stage graph on it, and assembles
 // the RunProfile: the per-kind profile from the queue's event log plus the
-// executed stage schedule for the perf layer.
-func (b *planBase) run(g *pipeline.Graph, plan string, n int, interactions int64) (*RunProfile, error) {
-	return b.runFlops(g, plan, n, interactions, interactionFlops(interactions))
+// executed stage schedule for the perf layer, both stamped with hostWall,
+// the measured wall seconds of the host work that prepared the graph's
+// inputs.
+func (b *planBase) run(g *pipeline.Graph, plan string, n int, interactions int64, hostWall float64) (*RunProfile, error) {
+	return b.runFlops(g, plan, n, interactions, interactionFlops(interactions), hostWall)
 }
 
 // runFlops is run with an explicit useful-flops total, for kernels whose
 // per-interaction cost differs from the plain force kernel (the jerk path
 // charges pp.FlopsPerJerkInteraction).
-func (b *planBase) runFlops(g *pipeline.Graph, plan string, n int, interactions, flops int64) (*RunProfile, error) {
+func (b *planBase) runFlops(g *pipeline.Graph, plan string, n int, interactions, flops int64, hostWall float64) (*RunProfile, error) {
 	b.queue.Reset()
 	sched, err := g.Execute(b.queue, b.obs)
 	if err != nil {
 		return nil, err
 	}
+	sched.HostWallSeconds = hostWall
 	rp := &RunProfile{
-		Plan:         plan,
-		N:            n,
-		Interactions: interactions,
-		Flops:        flops,
-		Profile:      b.queue.Profile(),
-		Launches:     sched.Launches(),
-		Schedule:     sched,
+		Plan:             plan,
+		N:                n,
+		Interactions:     interactions,
+		Flops:            flops,
+		Profile:          b.queue.Profile(),
+		Launches:         sched.Launches(),
+		Schedule:         sched,
+		HostBuildSeconds: hostWall,
 	}
 	observeRun(b.obs, rp)
 	return rp, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -86,9 +87,14 @@ func WithTuning(groupCap, localSize, queueTarget int) PlanOption {
 	}
 }
 
+// maxDevices caps K in "jw-parallel-xK". Each device is a cl context with
+// its own buffers, created on the plan's first evaluation, and sharding the
+// walks costs O(walks x K).
+const maxDevices = 64
+
 // PlanNames lists every name NewPlanByName accepts, in the paper's
 // presentation order. Multi-device variants follow the pattern
-// "jw-parallel-xK" for any K >= 2; the list shows the two tracked ones.
+// "jw-parallel-xK" for any 2 <= K <= 64; the list shows the two tracked ones.
 func PlanNames() []string {
 	return []string{
 		"i-parallel", "j-parallel", "w-parallel", "jw-parallel",
@@ -97,14 +103,31 @@ func PlanNames() []string {
 	}
 }
 
+// CheckPlanName returns the error NewPlanByName gives for name, or nil when
+// it accepts the name, without building anything. It is the one home of the
+// plan-name grammar: the names of PlanNames, plus "jw-parallel-xK" for any
+// 2 <= K <= 64.
+func CheckPlanName(name string) error {
+	if ks, ok := strings.CutPrefix(name, "jw-parallel-x"); ok {
+		if k, err := strconv.Atoi(ks); err != nil || k < 2 || k > maxDevices {
+			return fmt.Errorf("core: bad multi-device plan %q (want jw-parallel-xK, 2 <= K <= %d)", name, maxDevices)
+		}
+		return nil
+	}
+	if !slices.Contains(PlanNames(), name) {
+		return fmt.Errorf("core: unknown plan %q (known: %s)", name, strings.Join(PlanNames(), ", "))
+	}
+	return nil
+}
+
 // NewPlanByName constructs the named execution plan. It is the one way to
 // build a plan: the CLIs, the job service, the experiment harness and the
 // tests all come through here.
 //
 // Names: the four paper plans ("i-parallel", "j-parallel", "w-parallel",
-// "jw-parallel"), the multi-device scale-out ("jw-parallel-xK", K >= 2), and
-// the OpenCL-C-source PP variants ("i-parallel-src", "j-parallel-src") that
-// run through the clc compiler.
+// "jw-parallel"), the multi-device scale-out ("jw-parallel-xK",
+// 2 <= K <= 64), and the OpenCL-C-source PP variants ("i-parallel-src",
+// "j-parallel-src") that run through the clc compiler.
 //
 // Defaults, each overridable through WithTuning: i-parallel groups of 256
 // and j-parallel groups of 64 (one wavefront); w-parallel walks of up to 64
@@ -112,6 +135,9 @@ func PlanNames() []string {
 // walks of up to 24 bodies on 64-lane groups, with enough walk queues to
 // fill the device.
 func NewPlanByName(name string, opts ...PlanOption) (Plan, error) {
+	if err := CheckPlanName(name); err != nil {
+		return nil, err
+	}
 	o := planOptions{
 		device: gpusim.HD5850(),
 		params: pp.DefaultParams(),
@@ -141,8 +167,8 @@ func NewPlanByName(name string, opts ...PlanOption) (Plan, error) {
 	}
 
 	var plan Plan
-	switch {
-	case name == "i-parallel" || name == "j-parallel" || name == "w-parallel" || name == "jw-parallel":
+	switch name {
+	case "i-parallel", "j-parallel", "w-parallel", "jw-parallel":
 		c, err := ctx()
 		if err != nil {
 			return nil, err
@@ -157,9 +183,10 @@ func NewPlanByName(name string, opts ...PlanOption) (Plan, error) {
 			plan = &WParallel{Opt: o.opt, GroupCap: tuned(o.groupCap, 64), LocalSize: tuned(o.localSize, 64), planBase: base}
 		default:
 			plan = &JWParallel{Opt: o.opt, GroupCap: tuned(o.groupCap, 24), LocalSize: tuned(o.localSize, 64),
-				QueueTarget: tuned(o.queueTarget, 0), planBase: base}
+				QueueTarget: tuned(o.queueTarget, 0),
+				jwDevice:    jwDevice{planBase: base, names: newJWNames(name, "jwparallel.force", "jwparallel")}}
 		}
-	case name == "i-parallel-src" || name == "j-parallel-src":
+	case "i-parallel-src", "j-parallel-src":
 		c, err := ctx()
 		if err != nil {
 			return nil, err
@@ -174,15 +201,10 @@ func NewPlanByName(name string, opts ...PlanOption) (Plan, error) {
 		}
 		p.GroupSize = tuned(o.localSize, p.GroupSize)
 		plan = p
-	case strings.HasPrefix(name, "jw-parallel-x"):
-		k, err := strconv.Atoi(strings.TrimPrefix(name, "jw-parallel-x"))
-		if err != nil || k < 2 {
-			return nil, fmt.Errorf("core: bad multi-device plan %q (want jw-parallel-xK, K >= 2)", name)
-		}
+	default: // jw-parallel-xK; CheckPlanName vetted K
+		k, _ := strconv.Atoi(strings.TrimPrefix(name, "jw-parallel-x"))
 		plan = &MultiJW{Opt: o.opt, Devices: k, Config: o.device, GroupCap: tuned(o.groupCap, 24),
 			LocalSize: tuned(o.localSize, 64), QueueTarget: tuned(o.queueTarget, 0)}
-	default:
-		return nil, fmt.Errorf("core: unknown plan %q (known: %s)", name, strings.Join(PlanNames(), ", "))
 	}
 	if o.obs != nil {
 		if ob, ok := plan.(obs.Observable); ok {

@@ -28,9 +28,21 @@ func TestNewPlanByNameCoversEveryListedName(t *testing.T) {
 }
 
 func TestNewPlanByNameRejectsBadNames(t *testing.T) {
-	for _, name := range []string{"", "k-parallel", "jw-parallel-x1", "jw-parallel-x", "jw-parallel-xq"} {
+	for _, name := range []string{"", "k-parallel", "jw-parallel-x1", "jw-parallel-x", "jw-parallel-xq",
+		"jw-parallel-x65", "jw-parallel-x9223372036854775807"} {
 		if _, err := NewPlanByName(name); err == nil {
 			t.Errorf("name %q accepted", name)
+		}
+		if err := CheckPlanName(name); err == nil {
+			t.Errorf("CheckPlanName(%q) accepted", name)
+		}
+	}
+	if err := CheckPlanName("jw-parallel-x65"); err == nil || !strings.Contains(err.Error(), "64") {
+		t.Errorf("device-cap error should name the limit, got %v", err)
+	}
+	for _, name := range append(PlanNames(), "jw-parallel-x64") {
+		if err := CheckPlanName(name); err != nil {
+			t.Errorf("CheckPlanName(%q): %v", name, err)
 		}
 	}
 	if _, err := NewPlanByName("nope"); err == nil || !strings.Contains(err.Error(), "jw-parallel") {

@@ -270,9 +270,27 @@ func TestPlansBitwiseGolden(t *testing.T) {
 			t.Errorf("%s n=%d: TransferSeconds %.17g, want %.17g",
 				g.plan, g.n, prof.Profile.TransferSeconds, g.transferSeconds)
 		}
-		// MultiJW runs its device queues directly and returns no Schedule.
-		if _, multi := plan.(*MultiJW); !multi && (prof.Schedule == nil || len(prof.Schedule.Spans) == 0) {
-			t.Errorf("%s n=%d: no executed schedule on the profile", g.plan, g.n)
+		// Every plan returns its executed schedule. Its host chain is the
+		// profile's host time; its device chain is the kernel plus transfer
+		// time, except on jw-parallel-xK, where it is the slowest device's
+		// and so at most the maximum kernel plus the maximum transfer.
+		sched := prof.Schedule
+		if sched == nil || len(sched.Spans) == 0 {
+			t.Fatalf("%s n=%d: no executed schedule on the profile", g.plan, g.n)
+		}
+		if sched.HostSeconds() != prof.Profile.HostSeconds {
+			t.Errorf("%s n=%d: schedule host %.17g, profile host %.17g",
+				g.plan, g.n, sched.HostSeconds(), prof.Profile.HostSeconds)
+		}
+		dev := prof.Profile.KernelSeconds + prof.Profile.TransferSeconds
+		if _, multi := plan.(*MultiJW); multi {
+			if sched.DeviceSeconds() > dev*(1+1e-12) {
+				t.Errorf("%s n=%d: schedule device %.17g above kernel+transfer %.17g",
+					g.plan, g.n, sched.DeviceSeconds(), dev)
+			}
+		} else if !relClose(sched.DeviceSeconds(), dev) {
+			t.Errorf("%s n=%d: schedule device %.17g, kernel+transfer %.17g",
+				g.plan, g.n, sched.DeviceSeconds(), dev)
 		}
 	}
 }

@@ -152,13 +152,9 @@ func (p *WParallel) Accel(s *body.System) (*RunProfile, error) {
 	p.ensure("wparallel.acc", &p.bufAcc, 4*n, true)
 	p.hostAcc = resize(p.hostAcc, 4*n)
 
-	rp, err := p.run(p.graph(d), p.Name(), n, d.interactions)
+	rp, err := p.run(p.graph(d), p.Name(), n, d.interactions, d.wallSeconds)
 	if err != nil {
 		return nil, err
-	}
-	rp.HostBuildSeconds = d.wallSeconds
-	if rp.Schedule != nil {
-		rp.Schedule.HostWallSeconds = d.wallSeconds
 	}
 	d.unpermuteAcc(s, p.hostAcc)
 	return rp, nil

@@ -220,8 +220,9 @@ func RunBench(cfg BenchConfig) (*BenchReport, error) {
 // Each point runs Repeats force evaluations on a fresh plan instance (first
 // evaluation warm — buffers allocated — before timing starts), collects
 // repeat statistics, and builds the perf report from the final evaluation's
-// span bundle and launch results. The context reaches the Hermite point's
-// jerk evaluations; the fixed-plan points are modelled, not cancellable.
+// executed schedule and launch results. The context reaches the Hermite
+// point's jerk evaluations; the fixed-plan points are modelled, not
+// cancellable.
 func RunBenchContext(ctx context.Context, cfg BenchConfig) (*BenchReport, error) {
 	plans := cfg.Plans
 	if len(plans) == 0 {
@@ -262,15 +263,6 @@ func RunBenchContext(ctx context.Context, cfg BenchConfig) (*BenchReport, error)
 			// The runner places this point's evaluations on the executed
 			// cross-evaluation timeline under the configured pipeline mode.
 			runner := pipeline.Runner{Mode: cfg.Pipeline}
-			account := func(prof *core.RunProfile) float64 {
-				h := prof.Profile.HostSeconds
-				d := prof.Profile.KernelSeconds + prof.Profile.TransferSeconds
-				if prof.Schedule != nil {
-					h = prof.Schedule.HostSeconds()
-					d = prof.Schedule.DeviceSeconds()
-				}
-				return runner.Account(h, d)
-			}
 			// Warm-up: allocate buffers and page in the pipeline so wall
 			// statistics measure steady-state evaluations. Accounting the
 			// warm-up also primes the overlap pipeline, so the timed repeats
@@ -279,15 +271,15 @@ func RunBenchContext(ctx context.Context, cfg BenchConfig) (*BenchReport, error)
 			if err != nil {
 				return nil, fmt.Errorf("perf: %s at N=%d: %w", name, n, err)
 			}
-			account(warmProf)
+			runner.AccountSchedule(warmProf.Schedule)
 
 			var kernel, transfer, host, total, wall, gflops, pipelined []float64
 			var hostBuild, allocs []float64
 			var prof *core.RunProfile
 			var ms runtime.MemStats
 			for r := 0; r < repeats; r++ {
-				// The final repeat's span bundle feeds the attribution, so
-				// it must cover exactly one evaluation.
+				// The final repeat's span bundle feeds the merged trace
+				// (TraceOut), so it must cover exactly one evaluation.
 				if r == repeats-1 {
 					o.Trace.Reset()
 				}
@@ -307,7 +299,7 @@ func RunBenchContext(ctx context.Context, cfg BenchConfig) (*BenchReport, error)
 				total = append(total, prof.Profile.TotalSeconds()*1e3)
 				wall = append(wall, wallSec*1e3)
 				gflops = append(gflops, prof.KernelGFLOPS())
-				pipelined = append(pipelined, account(prof)*1e3)
+				pipelined = append(pipelined, runner.AccountSchedule(prof.Schedule)*1e3)
 				hostBuild = append(hostBuild, prof.HostBuildSeconds*1e3)
 				allocs = append(allocs, float64(ms.Mallocs-mallocsBefore))
 			}
@@ -325,7 +317,7 @@ func RunBenchContext(ctx context.Context, cfg BenchConfig) (*BenchReport, error)
 				HostBuildMS:    newStat(hostBuild),
 				AllocsPerStep:  newStat(allocs),
 				ActiveFraction: 1,
-				Report:         BuildPlanReport(cfg.Device, prof, o.Trace.Spans()),
+				Report:         BuildPlanReport(cfg.Device, prof),
 			}
 			if pt.PipelinedMS.Mean > 0 {
 				pt.SpeedupVsSerial = pt.TotalMS.Mean / pt.PipelinedMS.Mean

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
-// Attribution is the critical-path breakdown of a span bundle: how the
-// modelled pipeline time of one or more force evaluations splits across
-// stages, and which serial chain bounds the step time.
+// Attribution is the critical-path breakdown of an executed stage schedule:
+// how the modelled pipeline time of one or more force evaluations splits
+// across stages, and which serial chain bounds the step time.
 //
 // Two totals matter. SerialSeconds is the sum of every stage — the paper's
 // "total time" basis (Table 2), where host and device work are serialised.
@@ -23,7 +22,7 @@ type Attribution struct {
 	StageSeconds map[Stage]float64 `json:"stageSeconds"`
 	// StageFractions is each stage's share of SerialSeconds.
 	StageFractions map[Stage]float64 `json:"stageFractions"`
-	// Spans is the number of modelled spans consumed.
+	// Spans is the number of executed stage spans consumed.
 	Spans int `json:"spans"`
 
 	HostSeconds   float64 `json:"hostSeconds"`   // tree + list + other host work
@@ -47,9 +46,7 @@ type Attribution struct {
 
 	// MakespanSeconds is the end of the executed timeline: where the last
 	// stage finished on the queue clock. On an in-order queue it equals
-	// SerialSeconds; with out-of-order overlap it is smaller. Span-classified
-	// attributions (Attribute) have no placement information and report the
-	// serial sum here.
+	// SerialSeconds; with out-of-order overlap it is smaller.
 	MakespanSeconds float64 `json:"makespanSeconds"`
 
 	// HostBuildWallSeconds is the *measured* wall-clock time of the host-side
@@ -58,41 +55,6 @@ type Attribution struct {
 	// the real host cost beside the paper-era model. Zero when the schedule
 	// carries no measurement.
 	HostBuildWallSeconds float64 `json:"hostBuildWallSeconds,omitempty"`
-}
-
-// Attribute walks a span bundle and attributes every modelled span to a
-// pipeline stage. Wall-clock spans are ignored: they time the *simulation
-// driver* (real host time of this reproduction), while the breakdown the
-// paper's tables make is over the modelled pipeline. Span durations are in
-// microseconds (obs convention); the attribution reports seconds.
-func Attribute(spans []obs.SpanRecord) Attribution {
-	a := Attribution{
-		StageSeconds:   map[Stage]float64{},
-		StageFractions: map[Stage]float64{},
-	}
-	for _, sp := range spans {
-		if sp.Domain != obs.DomainModelled {
-			continue
-		}
-		// The stage-graph executor mirrors every stage as a "stage" span on
-		// top of the underlying cl event spans; counting both would double
-		// the evaluation. The meta-spans belong to AttributeExecuted's world.
-		if sp.Category == "stage" {
-			continue
-		}
-		stage := ClassifyModelled(sp.Name, sp.Category)
-		sec := sp.DurUS / 1e6
-		a.StageSeconds[stage] += sec
-		a.Spans++
-		if stage.HostStage() {
-			a.HostSeconds += sec
-		} else {
-			a.DeviceSeconds += sec
-		}
-	}
-	a.finalize()
-	a.MakespanSeconds = a.SerialSeconds
-	return a
 }
 
 // stageOfKind maps a pipeline stage kind onto the perf stage taxonomy.
@@ -116,10 +78,9 @@ func stageOfKind(k pipeline.Kind) Stage {
 
 // AttributeExecuted builds the attribution from an executed stage schedule —
 // the typed record of which stages ran and where they landed on the modelled
-// timeline — instead of string-classifying trace spans. This is the preferred
-// path: stage kinds come from the graph that actually executed, so no name
-// convention is involved, and the makespan reflects real placement (including
-// out-of-order overlap) rather than assuming serial execution.
+// timeline. Stage kinds come from the graph that actually executed, so no
+// name convention is involved, and the makespan reflects real placement
+// (including out-of-order overlap) rather than assuming serial execution.
 func AttributeExecuted(sched *pipeline.Schedule) Attribution {
 	a := Attribution{
 		StageSeconds:   map[Stage]float64{},

@@ -4,57 +4,26 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/gpusim"
-	"repro/internal/ic"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
-// modelled builds a modelled-domain span of the given duration in seconds.
-func modelled(name, category string, durSec float64) obs.SpanRecord {
-	return obs.SpanRecord{
-		Name:     name,
-		Category: category,
-		Domain:   obs.DomainModelled,
-		DurUS:    durSec * 1e6,
-	}
-}
-
-func TestClassifyModelled(t *testing.T) {
-	for _, tc := range []struct {
-		name, category string
-		want           Stage
-	}{
-		{"tree build", "host", StageTree},
-		{"walk/list build", "host", StageList},
-		{"sort bodies", "host", StageOtherHost},
-		{"write jwparallel.src", "transfer", StageUpload},
-		{"read jwparallel.acc", "transfer", StageDownload},
-		{"jwparallel.force", "kernel", StageKernel},
-		{"jparallel.reduce", "kernel", StageReduce},
-		{"mystery", "unknown", StageOtherHost},
-	} {
-		if got := ClassifyModelled(tc.name, tc.category); got != tc.want {
-			t.Errorf("ClassifyModelled(%q, %q) = %q, want %q", tc.name, tc.category, got, tc.want)
-		}
-	}
+// span is a StageSpan literal helper (times in seconds on the queue clock).
+func span(stage string, kind pipeline.Kind, start, end float64) pipeline.StageSpan {
+	return pipeline.StageSpan{Stage: stage, Kind: kind, Start: start, End: end}
 }
 
 func TestAttributeDeviceBound(t *testing.T) {
-	spans := []obs.SpanRecord{
-		modelled("tree build", "host", 0.001),
-		modelled("walk/list build", "host", 0.002),
-		modelled("write src", "transfer", 0.004),
-		modelled("jwparallel.force", "kernel", 0.010),
-		modelled("read acc", "transfer", 0.003),
-		// Wall-clock spans must be ignored.
-		{Name: "step", Category: "sim", Domain: obs.DomainWall, DurUS: 9e6},
-	}
-	a := Attribute(spans)
+	a := AttributeExecuted(&pipeline.Schedule{Graph: "test", Spans: []pipeline.StageSpan{
+		span("tree", pipeline.Tree, 0, 0.001),
+		span("list", pipeline.List, 0.001, 0.003),
+		span("upload:src", pipeline.Upload, 0.003, 0.007),
+		span("force", pipeline.Kernel, 0.007, 0.017),
+		span("download:acc", pipeline.Download, 0.017, 0.020),
+	}})
 	if a.Spans != 5 {
 		t.Fatalf("spans = %d, want 5", a.Spans)
 	}
-	if got := a.StageSeconds[StageKernel]; got != 0.010 {
+	if got := a.StageSeconds[StageKernel]; !near(got, 0.010) {
 		t.Errorf("kernel seconds = %g, want 0.010", got)
 	}
 	if !near(a.HostSeconds, 0.003) || !near(a.DeviceSeconds, 0.017) {
@@ -87,12 +56,11 @@ func TestAttributeDeviceBound(t *testing.T) {
 }
 
 func TestAttributeHostBound(t *testing.T) {
-	spans := []obs.SpanRecord{
-		modelled("tree build", "host", 0.030),
-		modelled("walk/list build", "host", 0.020),
-		modelled("jwparallel.force", "kernel", 0.010),
-	}
-	a := Attribute(spans)
+	a := AttributeExecuted(&pipeline.Schedule{Graph: "test", Spans: []pipeline.StageSpan{
+		span("tree", pipeline.Tree, 0, 0.030),
+		span("list", pipeline.List, 0.030, 0.050),
+		span("force", pipeline.Kernel, 0.050, 0.060),
+	}})
 	if a.CriticalSide != "host" {
 		t.Fatalf("critical side = %q, want host", a.CriticalSide)
 	}
@@ -105,18 +73,16 @@ func TestAttributeHostBound(t *testing.T) {
 	if a.LongestStage != StageTree {
 		t.Errorf("longest = %q, want tree_build", a.LongestStage)
 	}
-}
-
-func TestAttributeEmpty(t *testing.T) {
-	a := Attribute(nil)
-	if a.Spans != 0 || a.SerialSeconds != 0 || len(a.CriticalChain) != 0 {
-		t.Errorf("empty attribution not empty: %+v", a)
+	if s := a.String(); !strings.Contains(s, "host side") {
+		t.Errorf("String() = %q", s)
 	}
 }
 
-// span is a StageSpan literal helper (times in seconds on the queue clock).
-func span(stage string, kind pipeline.Kind, start, end float64) pipeline.StageSpan {
-	return pipeline.StageSpan{Stage: stage, Kind: kind, Start: start, End: end}
+func TestAttributeEmpty(t *testing.T) {
+	a := AttributeExecuted(&pipeline.Schedule{Graph: "test"})
+	if a.Spans != 0 || a.SerialSeconds != 0 || len(a.CriticalChain) != 0 {
+		t.Errorf("empty attribution not empty: %+v", a)
+	}
 }
 
 func TestAttributeExecutedSchedule(t *testing.T) {
@@ -156,7 +122,7 @@ func TestAttributeExecutedSchedule(t *testing.T) {
 
 // TestAttributeExecutedOverlappedMakespan: when stages overlapped on the
 // executed timeline (out-of-order queue), the makespan is shorter than the
-// serial sum — placement information the span-classified path cannot see.
+// serial sum.
 func TestAttributeExecutedOverlappedMakespan(t *testing.T) {
 	sched := &pipeline.Schedule{Graph: "test", Spans: []pipeline.StageSpan{
 		span("tree", pipeline.Tree, 0, 0.004),          // host chain
@@ -179,45 +145,6 @@ func TestAttributeExecutedNil(t *testing.T) {
 	a := AttributeExecuted(nil)
 	if a.Spans != 0 || a.SerialSeconds != 0 || a.MakespanSeconds != 0 {
 		t.Errorf("nil attribution not empty: %+v", a)
-	}
-}
-
-// TestAttributeExecutedMatchesSpanClassification runs a real plan and checks
-// the two attribution paths agree: the typed executed schedule and the
-// string-classified span bundle describe the same modelled evaluation.
-func TestAttributeExecutedMatchesSpanClassification(t *testing.T) {
-	plan, err := newPlan("jw-parallel", gpusim.TestDevice(), 0.6, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := obs.New()
-	plan.(obs.Observable).SetObs(o)
-	prof, err := plan.Accel(ic.Plummer(256, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prof.Schedule == nil {
-		t.Fatal("plan produced no executed schedule")
-	}
-	exec := AttributeExecuted(prof.Schedule)
-	byName := Attribute(o.Trace.Spans())
-	if !near(exec.HostSeconds, byName.HostSeconds) || !near(exec.DeviceSeconds, byName.DeviceSeconds) {
-		t.Errorf("executed host/dev %g/%g vs span-classified %g/%g",
-			exec.HostSeconds, exec.DeviceSeconds, byName.HostSeconds, byName.DeviceSeconds)
-	}
-	if exec.CriticalSide != byName.CriticalSide {
-		t.Errorf("critical side: executed %q vs span-classified %q", exec.CriticalSide, byName.CriticalSide)
-	}
-	for _, st := range StageOrder {
-		if !near(exec.StageSeconds[st], byName.StageSeconds[st]) {
-			t.Errorf("stage %s: executed %g vs span-classified %g",
-				st, exec.StageSeconds[st], byName.StageSeconds[st])
-		}
-	}
-	// The in-order queue lays stages end to end, so the executed makespan is
-	// the serial sum.
-	if !near(exec.MakespanSeconds, exec.SerialSeconds) {
-		t.Errorf("makespan %g != serial %g on in-order queue", exec.MakespanSeconds, exec.SerialSeconds)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/gpusim"
 	"repro/internal/ic"
-	"repro/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -27,14 +26,12 @@ func TestPlanReportGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := obs.New()
-	plan.(obs.Observable).SetObs(o)
 	sys := ic.Plummer(64, 7)
 	prof, err := plan.Accel(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := BuildPlanReport(gpusim.TestDevice(), prof, o.Trace.Spans())
+	rep := BuildPlanReport(gpusim.TestDevice(), prof)
 	// The measured host-build wall time is the one machine-dependent field
 	// of the report; zero it so the modelled remainder stays byte-stable.
 	rep.HostBuildSeconds = 0

@@ -1,6 +1,6 @@
 // Package perf is the analysis layer on top of the raw telemetry of
-// internal/obs and the cost model of internal/gpusim: it turns span bundles
-// and launch results into the *arguments* the paper makes.
+// internal/obs and the cost model of internal/gpusim: it turns executed stage
+// schedules and launch results into the *arguments* the paper makes.
 //
 // The paper justifies the jw-parallel plan with three observations: (1) the
 // pipeline's per-step time decomposes into host work (tree build, walk/list
@@ -13,8 +13,8 @@
 // bandwidth), and the plans differ in where. This package computes all three
 // from a run's own telemetry:
 //
-//   - Attribute walks a span bundle and produces the per-stage time split
-//     and the critical serial chain (critpath.go).
+//   - AttributeExecuted reads an executed stage schedule and produces the
+//     per-stage time split and the critical serial chain (critpath.go).
 //   - Roofline converts one launch result into an achieved-vs-roof report
 //     with occupancy and divergence (roofline.go).
 //   - Watchdog tracks energy/momentum/virial drift per snapshot and fails a
@@ -23,8 +23,6 @@
 //     statistics (bench.go); Compare checks it against a committed baseline
 //     with per-metric regression thresholds (baseline.go).
 package perf
-
-import "strings"
 
 // Stage identifies one pipeline stage of a force evaluation for critical-path
 // attribution. The stages mirror the paper's time-breakdown tables: host-side
@@ -54,33 +52,4 @@ var StageOrder = []Stage{
 // t, the CPU builds step t+1's tree and lists).
 func (s Stage) HostStage() bool {
 	return s == StageTree || s == StageList || s == StageOtherHost
-}
-
-// ClassifyModelled maps a modelled span (a cl.Queue command, identified by
-// its name and category) to a pipeline stage. Categories follow cl.EventKind
-// ("host", "transfer", "kernel"); names follow the conventions of the plans
-// in internal/core ("tree build", "walk/list build", "write <buf>",
-// "read <buf>", "<plan>.force", "<plan>.reduce").
-func ClassifyModelled(name, category string) Stage {
-	switch category {
-	case "host":
-		switch {
-		case strings.Contains(name, "tree"):
-			return StageTree
-		case strings.Contains(name, "list"), strings.Contains(name, "walk"):
-			return StageList
-		}
-		return StageOtherHost
-	case "transfer":
-		if strings.HasPrefix(name, "read") {
-			return StageDownload
-		}
-		return StageUpload
-	case "kernel":
-		if strings.Contains(name, "reduce") {
-			return StageReduce
-		}
-		return StageKernel
-	}
-	return StageOtherHost
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gpusim"
-	"repro/internal/obs"
 )
 
 // PlanReportSchemaVersion identifies the perf-report JSON layout; bump on
@@ -44,12 +43,9 @@ type PlanReport struct {
 }
 
 // BuildPlanReport assembles the report for one evaluation from the plan's
-// run profile, the device model it ran on, and the span bundle recorded
-// during that evaluation. When the profile carries an executed stage schedule
-// the attribution reads it directly (AttributeExecuted); the span bundle is
-// the fallback for plans without one (wall-clock spans are ignored either
-// way).
-func BuildPlanReport(cfg gpusim.DeviceConfig, prof *core.RunProfile, spans []obs.SpanRecord) PlanReport {
+// run profile and the device model it ran on; the attribution reads the
+// profile's executed stage schedule (AttributeExecuted).
+func BuildPlanReport(cfg gpusim.DeviceConfig, prof *core.RunProfile) PlanReport {
 	r := PlanReport{
 		SchemaVersion:    PlanReportSchemaVersion,
 		Plan:             prof.Plan,
@@ -62,11 +58,7 @@ func BuildPlanReport(cfg gpusim.DeviceConfig, prof *core.RunProfile, spans []obs
 		HostBuildSeconds: prof.HostBuildSeconds,
 		KernelGFLOPS:     prof.KernelGFLOPS(),
 		TotalGFLOPS:      prof.TotalGFLOPS(),
-	}
-	if prof.Schedule != nil {
-		r.Attribution = AttributeExecuted(prof.Schedule)
-	} else {
-		r.Attribution = Attribute(spans)
+		Attribution:      AttributeExecuted(prof.Schedule),
 	}
 	for _, launch := range prof.Launches {
 		if launch != nil {

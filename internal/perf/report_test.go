@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/gpusim"
 	"repro/internal/ic"
-	"repro/internal/obs"
 )
 
 // buildTestReport runs one jw-parallel evaluation on the test device and
@@ -19,14 +18,38 @@ func buildTestReport(t *testing.T) PlanReport {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := obs.New()
-	plan.(obs.Observable).SetObs(o)
 	sys := ic.Plummer(64, 7)
 	prof, err := plan.Accel(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return BuildPlanReport(gpusim.TestDevice(), prof, o.Trace.Spans())
+	return BuildPlanReport(gpusim.TestDevice(), prof)
+}
+
+// TestPlanReportMultiDeviceAttribution: the multi-device plan's attribution
+// reads the schedule of its slowest device, whose host front is the plan's
+// one host stage and whose device chain fits inside the plan's maximum
+// kernel plus maximum transfer time.
+func TestPlanReportMultiDeviceAttribution(t *testing.T) {
+	plan, err := newPlan("jw-parallel-x2", gpusim.HD5850(), 0.6, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := plan.Accel(ic.Plummer(1024, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := BuildPlanReport(gpusim.HD5850(), prof)
+	if rep.HostSeconds <= 0 || rep.Attribution.HostSeconds != rep.HostSeconds {
+		t.Errorf("attribution host %g, report host %g", rep.Attribution.HostSeconds, rep.HostSeconds)
+	}
+	dev := rep.KernelSeconds + rep.TransferSeconds
+	if got := rep.Attribution.DeviceSeconds; got <= 0 || got > dev*(1+1e-12) {
+		t.Errorf("attribution device %g, want in (0, kernel+transfer %g]", got, dev)
+	}
+	if len(rep.Kernels) != 2 {
+		t.Errorf("%d kernel reports, want one per device", len(rep.Kernels))
+	}
 }
 
 func TestPlanReportCarriesSchemaVersion(t *testing.T) {

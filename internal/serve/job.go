@@ -16,7 +16,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -252,24 +251,6 @@ type Limits struct {
 	MaxSteps  int
 }
 
-// validPlan accepts the core plan names plus the open-ended jw-parallel-xK
-// family (NewPlanByName parses any K >= 2). Checking at admission keeps an
-// unknown plan from quarantining every engine slot while the retries burn
-// through the pool.
-func validPlan(name string) bool {
-	for _, known := range core.PlanNames() {
-		if name == known {
-			return true
-		}
-	}
-	if k, ok := strings.CutPrefix(name, "jw-parallel-x"); ok {
-		if n, err := strconv.Atoi(k); err == nil && n >= 2 {
-			return true
-		}
-	}
-	return false
-}
-
 // scenarioNames lists the generated scenarios (sim.ScenarioNames) plus the
 // explicit-bodies escape hatch, for validation messages.
 func scenarioNames() []string {
@@ -296,8 +277,10 @@ func (s *JobSpec) Validate(lim Limits) error {
 	if s.Plan == "" {
 		return fmt.Errorf("plan: missing")
 	}
-	if !validPlan(s.Plan) {
-		return fmt.Errorf("plan: unknown plan %q (known: %v)", s.Plan, core.PlanNames())
+	// Checking at admission keeps a bad plan name from quarantining every
+	// engine slot while the retries burn through the pool.
+	if err := core.CheckPlanName(s.Plan); err != nil {
+		return fmt.Errorf("plan: %w", err)
 	}
 	if s.Scenario == nil {
 		return fmt.Errorf("scenario: missing")

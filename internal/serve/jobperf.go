@@ -125,8 +125,9 @@ func weightedDeviceFill(dev gpusim.DeviceConfig, launches []*gpusim.Result) floa
 	return fill / weight
 }
 
-// buildJobPerf assembles the attribution after a finished attempt. It returns
-// nil when the engine retained no schedule (plans without stage schedules).
+// buildJobPerf assembles the attribution after a finished attempt. Every plan
+// returns its executed stage schedule (a multi-device plan, its slowest
+// device's), so it returns nil only when the attempt ran no evaluation.
 func buildJobPerf(j *job, slotID int, dev gpusim.DeviceConfig, pe *core.Engine, before engineCounters, wall time.Duration) *JobPerf {
 	sched, truncated := pe.RetainedSchedule()
 	if sched == nil {

@@ -24,60 +24,76 @@ import (
 // after a job finishes, its perf attribution covers the schedule that
 // actually executed — the per-stage seconds sum to the serial total, and
 // under pipeline mode "serial" (no overlap) that total IS the executed
-// makespan.
+// makespan. It holds on every kind of plan: the Go PP and treecode kernels,
+// the multi-device plan (its slowest device's schedule) and an OpenCL C
+// source plan (small N: the interpreter is slow).
 func TestJobPerfAttributionSumsToMakespan(t *testing.T) {
 	svc, _ := testService(t, 1, 4)
-	st, err := svc.Submit(quickJob(256, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := await(t, svc, st.ID)
-	if final.State != StateDone {
-		t.Fatalf("job state %s, error %q", final.State, final.Error)
-	}
+	for _, tc := range []struct {
+		plan     string
+		n, steps int
+	}{
+		{"i-parallel", 256, 20},
+		{"jw-parallel", 256, 20},
+		{"jw-parallel-x2", 256, 20},
+		{"j-parallel-src", 64, 3},
+	} {
+		t.Run(tc.plan, func(t *testing.T) {
+			spec := quickJob(tc.n, tc.steps)
+			spec.Plan = tc.plan
+			st, err := svc.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := await(t, svc, st.ID)
+			if final.State != StateDone {
+				t.Fatalf("job state %s, error %q", final.State, final.Error)
+			}
 
-	p, err := svc.JobPerf(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.SchemaVersion != JobPerfSchemaVersion || p.JobID != st.ID || p.TraceID != final.TraceID {
-		t.Fatalf("perf identity: %+v", p)
-	}
-	if p.ScheduleSpans == 0 || p.Attribution.Spans != p.ScheduleSpans {
-		t.Fatalf("schedule spans %d, attribution spans %d", p.ScheduleSpans, p.Attribution.Spans)
-	}
-	var stageSum float64
-	for _, sec := range p.Attribution.StageSeconds {
-		stageSum += sec
-	}
-	if stageSum <= 0 {
-		t.Fatal("no stage time attributed")
-	}
-	relErr := func(a, b float64) float64 { return math.Abs(a-b) / math.Max(a, b) }
-	if relErr(stageSum, p.Attribution.SerialSeconds) > 1e-9 {
-		t.Fatalf("stage sum %.9g != serial %.9g", stageSum, p.Attribution.SerialSeconds)
-	}
-	// Serial pipeline: every stage runs back to back, so the executed makespan
-	// equals the serial sum of the stage breakdown (tolerance for float
-	// accumulation order).
-	if relErr(stageSum, p.Attribution.MakespanSeconds) > 1e-6 {
-		t.Fatalf("stage sum %.9g vs executed makespan %.9g: breakdown does not cover the timeline",
-			stageSum, p.Attribution.MakespanSeconds)
-	}
-	if p.Evaluations <= 0 || p.Flops <= 0 || p.KernelSeconds <= 0 {
-		t.Fatalf("engine deltas: evals %d flops %d kernel %.3g", p.Evaluations, p.Flops, p.KernelSeconds)
-	}
-	if p.DeviceFill <= 0 || p.DeviceFill > 1 {
-		t.Fatalf("device fill %g out of (0,1]", p.DeviceFill)
-	}
+			p, err := svc.JobPerf(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.SchemaVersion != JobPerfSchemaVersion || p.JobID != st.ID || p.TraceID != final.TraceID {
+				t.Fatalf("perf identity: %+v", p)
+			}
+			if p.ScheduleSpans == 0 || p.Attribution.Spans != p.ScheduleSpans {
+				t.Fatalf("schedule spans %d, attribution spans %d", p.ScheduleSpans, p.Attribution.Spans)
+			}
+			var stageSum float64
+			for _, sec := range p.Attribution.StageSeconds {
+				stageSum += sec
+			}
+			if stageSum <= 0 {
+				t.Fatal("no stage time attributed")
+			}
+			relErr := func(a, b float64) float64 { return math.Abs(a-b) / math.Max(a, b) }
+			if relErr(stageSum, p.Attribution.SerialSeconds) > 1e-9 {
+				t.Fatalf("stage sum %.9g != serial %.9g", stageSum, p.Attribution.SerialSeconds)
+			}
+			// Serial pipeline: every stage runs back to back, so the executed
+			// makespan equals the serial sum of the stage breakdown (tolerance
+			// for float accumulation order).
+			if relErr(stageSum, p.Attribution.MakespanSeconds) > 1e-6 {
+				t.Fatalf("stage sum %.9g vs executed makespan %.9g: breakdown does not cover the timeline",
+					stageSum, p.Attribution.MakespanSeconds)
+			}
+			if p.Evaluations <= 0 || p.Flops <= 0 || p.KernelSeconds <= 0 {
+				t.Fatalf("engine deltas: evals %d flops %d kernel %.3g", p.Evaluations, p.Flops, p.KernelSeconds)
+			}
+			if p.DeviceFill <= 0 || p.DeviceFill > 1 {
+				t.Fatalf("device fill %g out of (0,1]", p.DeviceFill)
+			}
 
-	// The JobStatus rollup mirrors the attribution.
-	if final.Perf == nil {
-		t.Fatal("JobStatus.Perf missing after completion")
-	}
-	if final.Perf.MakespanSeconds != p.Attribution.MakespanSeconds ||
-		final.Perf.CriticalSide != p.Attribution.CriticalSide {
-		t.Fatalf("status summary %+v does not match attribution %+v", final.Perf, p.Attribution)
+			// The JobStatus rollup mirrors the attribution.
+			if final.Perf == nil {
+				t.Fatal("JobStatus.Perf missing after completion")
+			}
+			if final.Perf.MakespanSeconds != p.Attribution.MakespanSeconds ||
+				final.Perf.CriticalSide != p.Attribution.CriticalSide {
+				t.Fatalf("status summary %+v does not match attribution %+v", final.Perf, p.Attribution)
+			}
+		})
 	}
 
 	// A queued/running or unknown job has no attribution: not found.

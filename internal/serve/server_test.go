@@ -413,6 +413,8 @@ func TestJobSpecValidation(t *testing.T) {
 		{"bad pipeline", func(s *JobSpec) { s.Pipeline = "turbo" }, Limits{}},
 		{"over body limit", func(s *JobSpec) {}, Limits{MaxBodies: 32}},
 		{"over step limit", func(s *JobSpec) {}, Limits{MaxSteps: 5}},
+		{"too many devices", func(s *JobSpec) { s.Plan = "jw-parallel-x9223372036854775807" },
+			Limits{MaxBodies: 64, MaxSteps: 10}},
 	}
 	for _, tc := range cases {
 		spec := base
