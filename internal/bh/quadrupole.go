@@ -44,11 +44,6 @@ func (q Quad) Apply(v vec.V3) vec.V3 {
 	}
 }
 
-// Contract returns v^T Q v.
-func (q Quad) Contract(v vec.V3) float32 {
-	return v.Dot(q.Apply(v))
-}
-
 // ComputeQuadrupoles fills the quadrupole moment of every node, bottom-up.
 // It is optional: Build does not compute them (the monopole pipeline of the
 // paper does not need them); call it once after Build when using

@@ -108,12 +108,12 @@ func TestRefitEngineConservesEnergyAndAmortises(t *testing.T) {
 		return n
 	}
 
-	e0 := s.TotalEnergy(1, 0.05)
+	e0 := s.KineticEnergy() + s.PotentialEnergy(1, 0.05)
 	const steps = 30
 	for i := 0; i < steps; i++ {
 		lf.Step(s, 0.01, force)
 	}
-	e1 := s.TotalEnergy(1, 0.05)
+	e1 := s.KineticEnergy() + s.PotentialEnergy(1, 0.05)
 	drift := (e1 - e0) / e0
 	if drift < 0 {
 		drift = -drift

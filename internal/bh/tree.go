@@ -114,9 +114,6 @@ func Build(s *body.System, opt Options) (*Tree, error) {
 	return t, nil
 }
 
-// System returns the body system the tree was built over.
-func (t *Tree) System() *body.System { return t.sys }
-
 // rootCell returns the root cell (centre, half extent) for a build over s.
 // The Morton-ordered Builder and the recursive Build share it, so both paths
 // classify bodies against bitwise-identical cell boundaries.
@@ -278,39 +275,6 @@ func summarizeFromChildren(nodes []Node, ni int32) {
 		n.COM = vec.V3{X: float32(mx / m), Y: float32(my / m), Z: float32(mz / m)}
 	}
 	n.Bounds = bounds
-}
-
-// NumLeaves returns the number of leaf nodes.
-func (t *Tree) NumLeaves() int {
-	c := 0
-	for i := range t.Nodes {
-		if t.Nodes[i].Leaf {
-			c++
-		}
-	}
-	return c
-}
-
-// Depth returns the maximum depth of the tree (root = 0).
-func (t *Tree) Depth() int {
-	var rec func(ni int32) int
-	rec = func(ni int32) int {
-		n := &t.Nodes[ni]
-		if n.Leaf {
-			return 0
-		}
-		d := 0
-		for _, ci := range n.Children {
-			if ci == NoChild {
-				continue
-			}
-			if cd := rec(ci) + 1; cd > d {
-				d = cd
-			}
-		}
-		return d
-	}
-	return rec(0)
 }
 
 // Validate checks the structural invariants of the tree: contiguous,

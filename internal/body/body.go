@@ -42,17 +42,6 @@ func NewSystem(n int) *System {
 	}
 }
 
-// FromBodies builds a System from an AoS slice.
-func FromBodies(bs []Body) *System {
-	s := NewSystem(len(bs))
-	for i, b := range bs {
-		s.Pos[i] = b.Pos
-		s.Vel[i] = b.Vel
-		s.Mass[i] = b.Mass
-	}
-	return s
-}
-
 // N returns the number of bodies.
 func (s *System) N() int { return len(s.Pos) }
 
@@ -189,11 +178,6 @@ func (s *System) PotentialEnergy(g, eps float64) float64 {
 		}
 	}
 	return g * e
-}
-
-// TotalEnergy returns kinetic plus softened potential energy.
-func (s *System) TotalEnergy(g, eps float64) float64 {
-	return s.KineticEnergy() + s.PotentialEnergy(g, eps)
 }
 
 // ZeroAcc clears the acceleration scratch space.

@@ -76,36 +76,19 @@ type Event struct {
 // Seconds returns the event duration.
 func (e *Event) Seconds() float64 { return e.End - e.Start }
 
-// DoneAt reports whether the event has completed by simulated time t.
-// Completion is a pure timeline comparison: the functional work already
-// happened at enqueue, so an event is "in flight" only in the modelled
-// sense, which keeps asynchronous schedules deterministic.
-func (e *Event) DoneAt(t float64) bool { return t >= e.End }
-
-// Queue is a command queue with profiling enabled. Commands execute
-// synchronously (functionally); their *modelled* durations advance the
-// simulated timeline. By default the queue is in-order: each command starts
-// when the previous one ends. SetOutOfOrder switches to dependency-driven
-// scheduling, where a command starts as soon as the events it waits on have
-// completed — the OpenCL out-of-order queue, modelled deterministically.
+// Queue is an in-order command queue with profiling enabled. Commands
+// execute synchronously (functionally); their *modelled* durations advance
+// the simulated timeline. Each command starts when the previous one ends, or
+// later if an event on its wait list ends later.
 type Queue struct {
-	ctx        *Context
-	now        float64
-	events     []*Event
-	obs        *obs.Obs
-	outOfOrder bool
+	ctx    *Context
+	now    float64
+	events []*Event
+	obs    *obs.Obs
 }
 
 // NewQueue creates an in-order command queue on the context.
 func (c *Context) NewQueue() *Queue { return &Queue{ctx: c} }
-
-// SetOutOfOrder selects dependency-driven scheduling: an enqueued command
-// starts at the latest completion time of its wait-list events (or at the
-// timeline origin when it has none) instead of after the previously
-// enqueued command. Independent commands therefore overlap on the modelled
-// timeline. Functional execution order is still the enqueue order, so
-// callers must express every data dependency through events.
-func (q *Queue) SetOutOfOrder(enabled bool) { q.outOfOrder = enabled }
 
 // SetObs attaches a telemetry bundle: every subsequent command emits a
 // modelled-timeline span and updates the registry's cl.* metrics. A nil
@@ -114,10 +97,7 @@ func (q *Queue) SetOutOfOrder(enabled bool) { q.outOfOrder = enabled }
 func (q *Queue) SetObs(o *obs.Obs) { q.obs = o }
 
 func (q *Queue) push(name string, kind EventKind, dur float64, bytes int64, res *gpusim.Result, deps []*Event) *Event {
-	var start float64
-	if !q.outOfOrder {
-		start = q.now
-	}
+	start := q.now
 	for _, d := range deps {
 		if d != nil && d.End > start {
 			start = d.End
@@ -218,39 +198,6 @@ func (q *Queue) EnqueueNDRange(name string, fn gpusim.KernelFunc, p gpusim.Launc
 // construction) on the timeline, so total-time accounting sees it.
 func (q *Queue) EnqueueHostWork(name string, seconds float64, deps ...*Event) *Event {
 	return q.push(name, KindHost, seconds, 0, nil, deps)
-}
-
-// Events returns all completed events in order.
-func (q *Queue) Events() []*Event { return q.events }
-
-// Now returns the simulated timeline horizon: the latest completion time of
-// any enqueued command.
-func (q *Queue) Now() float64 { return q.now }
-
-// WaitFor is the host-side clWaitForEvents: it advances the timeline horizon
-// to the latest completion time among the given events (a wait on an already
-// finished event is free) and returns the new horizon.
-func (q *Queue) WaitFor(evs ...*Event) float64 {
-	for _, e := range evs {
-		if e != nil && e.End > q.now {
-			q.now = e.End
-		}
-	}
-	return q.now
-}
-
-// MakespanSeconds returns the executed span of the queue's timeline: the
-// latest event completion time. For an in-order queue this equals
-// Profile().TotalSeconds(); for an out-of-order queue with overlapping
-// commands it is smaller — the pipelined, as-executed duration.
-func (q *Queue) MakespanSeconds() float64 {
-	var end float64
-	for _, e := range q.events {
-		if e.End > end {
-			end = e.End
-		}
-	}
-	return end
 }
 
 // Reset clears the event log and rewinds the timeline; buffers keep their

@@ -76,7 +76,7 @@ func TestTimelineAdvancesInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := q.Events()
+	evs := q.events
 	if len(evs) != 3 {
 		t.Fatalf("%d events", len(evs))
 	}
@@ -90,8 +90,8 @@ func TestTimelineAdvancesInOrder(t *testing.T) {
 		}
 		prev = e.End
 	}
-	if q.Now() != prev {
-		t.Errorf("Now() = %g, want %g", q.Now(), prev)
+	if q.now != prev {
+		t.Errorf("timeline horizon = %g, want %g", q.now, prev)
 	}
 }
 
@@ -126,8 +126,8 @@ func TestProfileAggregation(t *testing.T) {
 	if math.Abs(p.TotalSeconds()-want) > 1e-15 {
 		t.Errorf("TotalSeconds = %g", p.TotalSeconds())
 	}
-	if math.Abs(p.TotalSeconds()-q.Now()) > 1e-15 {
-		t.Errorf("profile total %g != timeline %g", p.TotalSeconds(), q.Now())
+	if math.Abs(p.TotalSeconds()-q.now) > 1e-15 {
+		t.Errorf("profile total %g != timeline %g", p.TotalSeconds(), q.now)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestQueueReset(t *testing.T) {
 	buf := ctx.Device().NewBufferF32("data", 4)
 	q.EnqueueWriteF32(buf, []float32{1, 2, 3, 4})
 	q.Reset()
-	if q.Now() != 0 || len(q.Events()) != 0 {
+	if q.now != 0 || len(q.events) != 0 {
 		t.Error("Reset did not clear the queue")
 	}
 	// Buffer contents survive a queue reset.
@@ -154,7 +154,7 @@ func TestKernelErrorPropagates(t *testing.T) {
 	if err == nil {
 		t.Fatal("kernel panic not surfaced")
 	}
-	if len(q.Events()) != 0 {
+	if len(q.events) != 0 {
 		t.Error("failed launch recorded an event")
 	}
 }

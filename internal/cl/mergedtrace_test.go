@@ -70,20 +70,20 @@ func TestWriteMergedTraceNilTracer(t *testing.T) {
 	}
 }
 
-// TestWriteMergedTraceOverlappedSpans: an out-of-order queue produces
-// modelled pipeline spans that genuinely overlap on the timeline, and the
-// merged trace preserves those overlapping intervals instead of serialising
-// them.
+// TestWriteMergedTraceOverlappedSpans: two queues observed by one bundle
+// (as the devices of jw-parallel-xK are) produce modelled pipeline spans
+// that genuinely overlap on the timeline, and the merged trace preserves
+// those overlapping intervals instead of serialising them.
 func TestWriteMergedTraceOverlappedSpans(t *testing.T) {
 	ctx := newTestContext(t)
 	o := obs.New()
-	q := ctx.NewQueue()
+	hq, q := ctx.NewQueue(), ctx.NewQueue()
+	hq.SetObs(o)
 	q.SetObs(o)
-	q.SetOutOfOrder(true)
 
-	// Two independent host chains: tree build overlapping a device-bound
+	// Two independent chains: tree build overlapping a device-bound
 	// upload+kernel chain, as in the paper's note-4 pipelining.
-	tree := q.EnqueueHostWork("tree build", 4e-3)
+	tree := hq.EnqueueHostWork("tree build", 4e-3)
 	buf := ctx.Device().NewBufferF32("posm", 64)
 	up, err := q.EnqueueWriteF32(buf, make([]float32, 64))
 	if err != nil {

@@ -22,8 +22,8 @@ func TestProfileEmptyQueue(t *testing.T) {
 		p.TransferBytes != 0 || p.KernelFlops != 0 {
 		t.Errorf("empty queue profile not zero: %+v", p)
 	}
-	if q.Now() != 0 {
-		t.Errorf("empty queue Now = %g", q.Now())
+	if q.now != 0 {
+		t.Errorf("empty queue horizon = %g", q.now)
 	}
 }
 
@@ -83,7 +83,7 @@ func TestQueueTimestampsMonotonePerQueue(t *testing.T) {
 	}
 	for name, q := range map[string]*Queue{"a": qa, "b": qb} {
 		var prev float64
-		for i, e := range q.Events() {
+		for i, e := range q.events {
 			if e.Start != prev {
 				t.Errorf("queue %s event %d starts at %g, want %g", name, i, e.Start, prev)
 			}
@@ -92,111 +92,18 @@ func TestQueueTimestampsMonotonePerQueue(t *testing.T) {
 			}
 			prev = e.End
 		}
-		if q.Now() != prev {
-			t.Errorf("queue %s Now = %g, want %g", name, q.Now(), prev)
+		if q.now != prev {
+			t.Errorf("queue %s horizon = %g, want %g", name, q.now, prev)
 		}
 	}
-	if qa.Now() == qb.Now() {
+	if qa.now == qb.now {
 		t.Error("independent queues coincidentally share a timeline position; test is vacuous")
 	}
 }
 
-// TestOutOfOrderDependencyChains: on an out-of-order queue, commands start
-// when their wait lists complete rather than when the previous command ends,
-// so two independent dependency chains interleave on the modelled timeline.
-func TestOutOfOrderDependencyChains(t *testing.T) {
-	ctx := newTestContext(t)
-	q := ctx.NewQueue()
-	q.SetOutOfOrder(true)
-
-	// Chain A: 2ms then 1ms. Chain B: 5ms. Enqueued interleaved.
-	a1 := q.EnqueueHostWork("a1", 2e-3)
-	b1 := q.EnqueueHostWork("b1", 5e-3)
-	a2 := q.EnqueueHostWork("a2", 1e-3, a1)
-
-	if a1.Start != 0 || b1.Start != 0 {
-		t.Errorf("independent roots start at %g and %g, want 0", a1.Start, b1.Start)
-	}
-	if math.Abs(a2.Start-a1.End) > 1e-15 {
-		t.Errorf("a2 starts at %g, want its dependency end %g", a2.Start, a1.End)
-	}
-	// Join waits on both chains.
-	join := q.EnqueueHostWork("join", 1e-3, a2, b1)
-	if math.Abs(join.Start-5e-3) > 1e-12 {
-		t.Errorf("join starts at %g, want the slower chain end 5e-3", join.Start)
-	}
-	// Makespan is the overlapped 6ms, while the per-kind serial sum is 9ms.
-	if got := q.MakespanSeconds(); math.Abs(got-6e-3) > 1e-12 {
-		t.Errorf("MakespanSeconds = %g, want 6e-3", got)
-	}
-	if got := q.Profile().TotalSeconds(); math.Abs(got-9e-3) > 1e-12 {
-		t.Errorf("serial TotalSeconds = %g, want 9e-3", got)
-	}
-}
-
-// TestOutOfOrderTransfersAndKernels: device commands obey wait lists the same
-// way — an upload with no deps starts at the origin even after host work was
-// enqueued, and a kernel waiting on the upload starts at the upload's end.
-func TestOutOfOrderTransfersAndKernels(t *testing.T) {
-	ctx := newTestContext(t)
-	q := ctx.NewQueue()
-	q.SetOutOfOrder(true)
-	buf := ctx.Device().NewBufferF32("data", 64)
-
-	tree := q.EnqueueHostWork("tree", 3e-3)
-	up, err := q.EnqueueWriteF32(buf, make([]float32, 64)) // independent of tree
-	if err != nil {
-		t.Fatal(err)
-	}
-	if up.Start != 0 {
-		t.Errorf("independent upload starts at %g, want 0", up.Start)
-	}
-	k, err := q.EnqueueNDRange("k", gpusim.PerItem(func(wi *gpusim.Item) { wi.Flops(10) }),
-		gpusim.LaunchParams{Global: 8, Local: 8}, up, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStart := up.End
-	if tree.End > wantStart {
-		wantStart = tree.End
-	}
-	if math.Abs(k.Start-wantStart) > 1e-15 {
-		t.Errorf("kernel starts at %g, want max dep end %g", k.Start, wantStart)
-	}
-}
-
-// TestWaitForUnfinishedEvent: WaitFor on an event that is still in flight at
-// the caller's position advances the horizon to the event's end; waiting on
-// an already finished event (or nil) is free.
-func TestWaitForUnfinishedEvent(t *testing.T) {
-	ctx := newTestContext(t)
-	q := ctx.NewQueue()
-	q.SetOutOfOrder(true)
-
-	slow := q.EnqueueHostWork("slow", 8e-3)
-	fast := q.EnqueueHostWork("fast", 1e-3)
-	if !fast.DoneAt(1e-3) || fast.DoneAt(0.5e-3) {
-		t.Errorf("DoneAt wrong around fast end: %+v", fast)
-	}
-	if got := q.WaitFor(fast); math.Abs(got-8e-3) > 1e-12 {
-		// Horizon already includes slow's end; waiting on fast must not
-		// rewind it.
-		t.Errorf("WaitFor(finished) = %g, want horizon 8e-3", got)
-	}
-	if slow.DoneAt(q.Now() - 1e-6) {
-		t.Error("slow reported done before its end")
-	}
-	if got := q.WaitFor(slow, nil); math.Abs(got-slow.End) > 1e-15 {
-		t.Errorf("WaitFor(slow) = %g, want %g", got, slow.End)
-	}
-	if !slow.DoneAt(q.Now()) {
-		t.Error("slow not done after WaitFor")
-	}
-}
-
-// TestInOrderDepsCannotRewind: on the default in-order queue a wait list
-// never moves a command earlier than the previous command's end, so existing
-// in-order semantics are unchanged by passing deps.
+// TestInOrderDepsCannotRewind: a wait list never moves a command earlier
+// than the previous command's end; it can only delay the command, here past
+// an event of another queue.
 func TestInOrderDepsCannotRewind(t *testing.T) {
 	ctx := newTestContext(t)
 	q := ctx.NewQueue()
@@ -205,6 +112,11 @@ func TestInOrderDepsCannotRewind(t *testing.T) {
 	c := q.EnqueueHostWork("c", 1e-3, a) // dep older than queue position
 	if math.Abs(c.Start-b.End) > 1e-15 {
 		t.Errorf("in-order command with old dep starts at %g, want %g", c.Start, b.End)
+	}
+	late := ctx.NewQueue().EnqueueHostWork("late", 10e-3)
+	d := q.EnqueueHostWork("d", 1e-3, late)
+	if d.Start != late.End {
+		t.Errorf("command waiting on a later event starts at %g, want %g", d.Start, late.End)
 	}
 }
 

@@ -20,7 +20,7 @@ const (
 	// CheckStrict fails the build on unsuppressed error-severity findings.
 	CheckStrict CheckMode = iota
 	// CheckWarn runs the analyzers but never fails the build; findings are
-	// available through BuildLog and Diagnostics.
+	// only counted in the context's clc.lint.* metrics.
 	CheckWarn
 	// CheckOff skips analysis entirely (the escape hatch).
 	CheckOff
@@ -43,7 +43,6 @@ type Program struct {
 	ctx  *Context
 	prog *clc.Program
 	opts BuildOptions
-	lint *analysis.Result
 }
 
 // CreateProgram compiles OpenCL C source under the default build options:
@@ -62,10 +61,10 @@ func (c *Context) CreateProgramWithOptions(source string, opts BuildOptions) (*P
 	}
 	p := &Program{ctx: c, prog: prog, opts: opts}
 	if opts.KernelCheck != CheckOff {
-		p.lint = analysis.AnalyzeProgram(prog, source)
-		c.observeLint(p.lint)
+		lint := analysis.AnalyzeProgram(prog, source)
+		c.observeLint(lint)
 		if opts.KernelCheck == CheckStrict {
-			if errs := p.lint.Errors(); len(errs) > 0 {
+			if errs := lint.Errors(); len(errs) > 0 {
 				lines := make([]string, len(errs))
 				for i, d := range errs {
 					lines[i] = "  " + d.String()
@@ -76,29 +75,6 @@ func (c *Context) CreateProgramWithOptions(source string, opts BuildOptions) (*P
 		}
 	}
 	return p, nil
-}
-
-// Diagnostics returns every analyzer finding for the program, suppressed
-// ones included, in source order (nil when built with CheckOff).
-func (p *Program) Diagnostics() []analysis.Diagnostic {
-	if p.lint == nil {
-		return nil
-	}
-	return p.lint.Diags
-}
-
-// BuildLog renders the unsuppressed findings clBuildProgram-style, one per
-// line; empty when the program is clean or unchecked.
-func (p *Program) BuildLog() string {
-	if p.lint == nil {
-		return ""
-	}
-	var b strings.Builder
-	for _, d := range p.lint.Active() {
-		b.WriteString(d.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // KernelNames lists the __kernel entry points in source order.

@@ -131,7 +131,7 @@ func (k *KernelCheck) Set(s string) error {
 }
 
 // Mode returns the validated mode string, as consumed by
-// core.PreflightKernelCheck and core.WithKernelCheck.
+// core.PreflightKernelCheck.
 func (k *KernelCheck) Mode() string { return k.mode }
 
 // Pipeline is the -pipeline flag: the cross-step execution mode, validated
@@ -265,9 +265,6 @@ func (g *Integrator) Set(s string) error {
 	g.name = s
 	return nil
 }
-
-// Name returns the validated integrator name.
-func (g *Integrator) Name() string { return g.name }
 
 // New constructs a fresh integrator of the selected scheme.
 func (g *Integrator) New() integrate.Integrator {

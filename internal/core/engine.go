@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/body"
-	"repro/internal/cl"
 	"repro/internal/gpusim"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -287,10 +286,6 @@ func (e *Engine) TotalSeconds() float64 {
 // pipeline.Overlap it is smaller whenever host and device chains overlap.
 func (e *Engine) ExecutedSeconds() float64 { return e.runner.ExecutedSeconds() }
 
-// LastStepSeconds returns the executed cost of the most recent evaluation on
-// the cross-step timeline (in overlap steady state, max(host, device)).
-func (e *Engine) LastStepSeconds() float64 { return e.runner.LastStepSeconds() }
-
 // SustainedGFLOPS returns useful flops over accumulated kernel time.
 func (e *Engine) SustainedGFLOPS() float64 {
 	if e.KernelSeconds <= 0 {
@@ -307,14 +302,4 @@ func (e *Engine) SustainedPipelinedGFLOPS() float64 {
 		return 0
 	}
 	return float64(e.Flops) / t / 1e9
-}
-
-// Profile returns the accumulated times as a cl.Profile.
-func (e *Engine) Profile() cl.Profile {
-	return cl.Profile{
-		KernelSeconds:   e.KernelSeconds,
-		TransferSeconds: e.TransferSeconds,
-		HostSeconds:     e.HostSeconds,
-		KernelFlops:     e.Flops,
-	}
 }

@@ -37,10 +37,6 @@ func TestEngineAccumulates(t *testing.T) {
 	if eng.SustainedGFLOPS() <= 0 {
 		t.Error("no sustained rate")
 	}
-	p := eng.Profile()
-	if p.KernelSeconds != eng.KernelSeconds || p.KernelFlops != eng.Flops {
-		t.Error("Profile does not mirror accumulators")
-	}
 }
 
 func TestWParallelExactVsWalkEval(t *testing.T) {
@@ -81,21 +77,21 @@ func TestPlanBufferReuse(t *testing.T) {
 	if _, err := plan.Accel(sys); err != nil {
 		t.Fatal(err)
 	}
-	before := ctx.Device().Allocated()
+	before := [2]*gpusim.Buffer{plan.bufPosM, plan.bufAcc}
 	for i := 0; i < 5; i++ {
 		if _, err := plan.Accel(sys); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if after := ctx.Device().Allocated(); after != before {
-		t.Errorf("i-parallel grew allocations: %d -> %d", before, after)
+	if after := [2]*gpusim.Buffer{plan.bufPosM, plan.bufAcc}; after != before {
+		t.Error("i-parallel reallocated its device buffers")
 	}
 
 	jw := planOn[*JWParallel](t, ctx, "jw-parallel")
 	if _, err := jw.Accel(sys); err != nil {
 		t.Fatal(err)
 	}
-	before = ctx.Device().Allocated()
+	jwBefore := jw.bufs
 	for i := 0; i < 5; i++ {
 		if _, err := jw.Accel(sys); err != nil {
 			t.Fatal(err)
@@ -104,8 +100,8 @@ func TestPlanBufferReuse(t *testing.T) {
 	// The jw pipeline rebuilds walks each call; list lengths can vary a
 	// little for a *moving* system, but for identical positions buffers
 	// must be reused exactly.
-	if after := ctx.Device().Allocated(); after != before {
-		t.Errorf("jw-parallel grew allocations on identical input: %d -> %d", before, after)
+	if jw.bufs != jwBefore {
+		t.Error("jw-parallel reallocated its device buffers on identical input")
 	}
 }
 
@@ -185,18 +181,23 @@ func TestEngineDualAccounting(t *testing.T) {
 	sys := ic.Plummer(4096, 1)
 	const evals = 6
 
-	run := func(mode pipeline.Mode) *Engine {
+	// run also returns how far the last evaluation advanced the executed
+	// timeline.
+	run := func(mode pipeline.Mode) (*Engine, float64) {
 		eng := NewEngine(planOn[*JWParallel](t, newHD5850Context(t), "jw-parallel"))
 		eng.Mode = mode
+		var last float64
 		for i := 0; i < evals; i++ {
+			before := eng.ExecutedSeconds()
 			if _, err := eng.Accel(sys); err != nil {
 				t.Fatal(err)
 			}
+			last = eng.ExecutedSeconds() - before
 		}
-		return eng
+		return eng, last
 	}
-	serial := run(pipeline.Serial)
-	overlap := run(pipeline.Overlap)
+	serial, _ := run(pipeline.Serial)
+	overlap, lastStep := run(pipeline.Overlap)
 
 	// Serial accumulators are identical: the mode is pure accounting.
 	if serial.TotalSeconds() != overlap.TotalSeconds() ||
@@ -221,7 +222,7 @@ func TestEngineDualAccounting(t *testing.T) {
 	// The executed steady-state per-step cost matches the analytic
 	// Profile.PipelinedSeconds() of a single evaluation.
 	want := overlap.LastProfile.Profile.PipelinedSeconds()
-	if got := overlap.LastStepSeconds(); got < 0.95*want || got > 1.05*want {
+	if got := lastStep; got < 0.95*want || got > 1.05*want {
 		t.Errorf("steady-state executed step %g, want ~%g", got, want)
 	}
 	if overlap.SustainedPipelinedGFLOPS() <= overlap.SustainedGFLOPS()*float64(overlap.KernelSeconds)/overlap.TotalSeconds() {

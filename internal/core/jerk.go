@@ -45,8 +45,11 @@ const jerkJGroup = 64
 //     local memory. Chosen when the block is too small for i-parallel
 //     occupancy.
 //
-// Both kernels call pp.AccumulateJerkInto, so their outputs are bit-identical
-// to each other and to the CPU reference pp.ScalarJerk.
+// Both kernels call pp.AccumulateJerkInto. The i-parallel kernel sums the
+// sources in body order, so its output is bit-identical to the CPU reference
+// pp.ScalarJerk; the j-parallel kernel's strided partial sums and tree
+// reduction change the summation order, so it agrees only to rounding.
+// TestJerkKernelsBitwiseGolden pins both.
 type jerkUnit struct {
 	params pp.Params
 	iGroup int

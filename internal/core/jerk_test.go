@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/cl"
@@ -190,4 +191,79 @@ func (e *Engine) jerkGroupForTest() int {
 		e.jerk.setObs(e.obs)
 	}
 	return e.jerk.iGroup
+}
+
+// TestJerkKernelsBitwiseGolden pins both jerk kernels bit for bit on the
+// HD 5850 model, one active set on each side of selectPlan's crossover
+// (activeN >= ComputeUnits x iGroup = 4608): every body of Plummer(4608, 42)
+// runs i-parallel, every 8th body of Plummer(1024, 42) runs j-parallel. Each
+// row holds FNV-1a 64 over the little-endian float32 bits of each active
+// body's acceleration then jerk, in active order, and the modelled kernel
+// seconds. The i-parallel kernel also matches pp.ScalarJerk bit for bit;
+// j-parallel does not, because its strided partial sums and tree reduction
+// change the summation order.
+func TestJerkKernelsBitwiseGolden(t *testing.T) {
+	golden := []struct {
+		plan          string
+		n, stride     int
+		hash          uint64
+		kernelSeconds float64
+	}{
+		{"i-parallel", 4608, 1, 0xb17bc3f04321c93f, 0.0010279406896551724},
+		{"j-parallel", 1024, 8, 0x40fd605493335781, 4.7110068965517238e-05},
+	}
+	params := pp.DefaultParams()
+	for _, g := range golden {
+		ctx, err := cl.NewContext(gpusim.HD5850())
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := newJerkUnit(ctx, params)
+		var active []int
+		for i := 0; i < g.n; i += g.stride {
+			active = append(active, i)
+		}
+		if got := u.selectPlan(len(active)); got != g.plan {
+			t.Fatalf("n=%d stride %d: selectPlan = %q, want %q", g.n, g.stride, got, g.plan)
+		}
+		s := ic.Plummer(g.n, 42)
+		jerk := make([]vec.V3, g.n)
+		prof, err := u.eval(s, active, jerk)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		const offset64, prime64 = 0xcbf29ce484222325, 0x1099511628211
+		h := uint64(offset64)
+		for _, i := range active {
+			for _, v := range [2]vec.V3{s.Acc[i], jerk[i]} {
+				for _, f := range [3]float32{v.X, v.Y, v.Z} {
+					bits := math.Float32bits(f)
+					for sh := 0; sh < 32; sh += 8 {
+						h ^= uint64(byte(bits >> sh))
+						h *= prime64
+					}
+				}
+			}
+		}
+		if h != g.hash {
+			t.Errorf("%s n=%d: acc+jerk hash %#016x, want %#016x", g.plan, g.n, h, g.hash)
+		}
+		if got := prof.Profile.KernelSeconds; math.Abs(got-g.kernelSeconds) > 1e-12*g.kernelSeconds {
+			t.Errorf("%s n=%d: KernelSeconds %.17g, want %.17g", g.plan, g.n, got, g.kernelSeconds)
+		}
+
+		if g.plan != "i-parallel" {
+			continue
+		}
+		ref := ic.Plummer(g.n, 42)
+		refJerk := make([]vec.V3, g.n)
+		pp.ScalarJerk(ref, active, refJerk, params)
+		for _, i := range active {
+			if s.Acc[i] != ref.Acc[i] || jerk[i] != refJerk[i] {
+				t.Fatalf("i-parallel body %d: acc %v jerk %v, pp.ScalarJerk acc %v jerk %v",
+					i, s.Acc[i], jerk[i], ref.Acc[i], refJerk[i])
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sort"
 	"testing"
 )
@@ -61,5 +62,16 @@ func TestBuiltinLintReport(t *testing.T) {
 	verbose, _ := BuiltinLintReport(CheckBuiltinKernels(), true)
 	if verbose == "" {
 		t.Error("verbose report should list suppressed findings")
+	}
+}
+
+func TestPreflightKernelCheck(t *testing.T) {
+	// The shipped kernels lint clean, so even strict mode must succeed.
+	var buf bytes.Buffer
+	if err := PreflightKernelCheck("strict", nil, &buf); err != nil {
+		t.Fatalf("strict preflight on clean kernels failed: %v", err)
+	}
+	if err := PreflightKernelCheck("bogus", nil, nil); err == nil {
+		t.Error("bogus kernel-check mode accepted")
 	}
 }

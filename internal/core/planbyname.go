@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"strconv"
 	"strings"
@@ -24,9 +23,7 @@ type planOptions struct {
 	params pp.Params
 	opt    bh.Options
 
-	obs         *obs.Obs
-	kernelCheck string
-	lintOut     io.Writer
+	obs *obs.Obs
 
 	groupCap    int
 	localSize   int
@@ -68,13 +65,6 @@ func WithObs(o *obs.Obs) PlanOption {
 	return func(po *planOptions) { po.obs = o }
 }
 
-// WithKernelCheck lints the shipped kernel sources before the plan is built
-// ("off", "warn" — findings written to w, nil meaning discard — or
-// "strict", under which any active finding fails construction).
-func WithKernelCheck(mode string, w io.Writer) PlanOption {
-	return func(o *planOptions) { o.kernelCheck = mode; o.lintOut = w }
-}
-
 // WithTuning overrides the plan's decomposition parameters; zero values keep
 // the plan's defaults. groupCap is the walk size of the BH plans,
 // localSize the work-group size of every plan, queueTarget the jw walk-queue
@@ -106,11 +96,12 @@ func PlanNames() []string {
 // CheckPlanName returns the error NewPlanByName gives for name, or nil when
 // it accepts the name, without building anything. It is the one home of the
 // plan-name grammar: the names of PlanNames, plus "jw-parallel-xK" for any
-// 2 <= K <= 64.
+// 2 <= K <= 64 written in plain decimal, so each plan has one spelling (the
+// serve pool caches engines under the raw name).
 func CheckPlanName(name string) error {
 	if ks, ok := strings.CutPrefix(name, "jw-parallel-x"); ok {
-		if k, err := strconv.Atoi(ks); err != nil || k < 2 || k > maxDevices {
-			return fmt.Errorf("core: bad multi-device plan %q (want jw-parallel-xK, 2 <= K <= %d)", name, maxDevices)
+		if k, err := strconv.Atoi(ks); err != nil || ks != strconv.Itoa(k) || k < 2 || k > maxDevices {
+			return fmt.Errorf("core: bad multi-device plan %q (want jw-parallel-xK, K in plain decimal, 2 <= K <= %d)", name, maxDevices)
 		}
 		return nil
 	}
@@ -145,11 +136,6 @@ func NewPlanByName(name string, opts ...PlanOption) (Plan, error) {
 	}
 	for _, fn := range opts {
 		fn(&o)
-	}
-	if o.kernelCheck != "" {
-		if err := PreflightKernelCheck(o.kernelCheck, o.obs, o.lintOut); err != nil {
-			return nil, err
-		}
 	}
 	ctx := func() (*cl.Context, error) {
 		if o.clCtx != nil {

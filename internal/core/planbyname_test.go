@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -29,7 +28,8 @@ func TestNewPlanByNameCoversEveryListedName(t *testing.T) {
 
 func TestNewPlanByNameRejectsBadNames(t *testing.T) {
 	for _, name := range []string{"", "k-parallel", "jw-parallel-x1", "jw-parallel-x", "jw-parallel-xq",
-		"jw-parallel-x65", "jw-parallel-x9223372036854775807"} {
+		"jw-parallel-x65", "jw-parallel-x9223372036854775807",
+		"jw-parallel-x02", "jw-parallel-x+2", "jw-parallel-x0000000002"} {
 		if _, err := NewPlanByName(name); err == nil {
 			t.Errorf("name %q accepted", name)
 		}
@@ -123,17 +123,6 @@ func TestNewPlanByNameWiresObs(t *testing.T) {
 	}
 	if len(o.Trace.Spans()) == 0 {
 		t.Error("WithObs produced no spans from an evaluation")
-	}
-}
-
-func TestNewPlanByNameKernelCheck(t *testing.T) {
-	// The shipped kernels lint clean, so even strict mode must succeed.
-	var buf bytes.Buffer
-	if _, err := NewPlanByName("jw-parallel", WithDevice(gpusim.TestDevice()), WithKernelCheck("strict", &buf)); err != nil {
-		t.Fatalf("strict preflight on clean kernels failed: %v", err)
-	}
-	if _, err := NewPlanByName("jw-parallel", WithKernelCheck("bogus", nil)); err == nil {
-		t.Error("bogus kernel-check mode accepted")
 	}
 }
 

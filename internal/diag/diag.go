@@ -1,8 +1,8 @@
 // Package diag provides the astrophysical diagnostics used to judge whether
-// a simulation is physically sensible: Lagrangian radii, radial density
-// profiles, velocity dispersion, and the virial ratio. The galaxy and
-// collision examples report them, and tests use them to verify that the
-// initial-condition generators produce the distributions they claim.
+// a simulation is physically sensible: Lagrangian radii, velocity
+// dispersion, and the virial ratio. The galaxy and collision examples report
+// them, and tests use them to verify that the initial-condition generators
+// produce the distributions they claim.
 package diag
 
 import (
@@ -61,35 +61,6 @@ func LagrangianRadii(s *body.System, fractions ...float64) ([]float64, error) {
 	return out, nil
 }
 
-// DensityProfile bins bodies into nbins spherical shells of equal width out
-// to rmax around the centre of mass and returns the shell-averaged mass
-// density of each bin (bin centres in radii).
-func DensityProfile(s *body.System, rmax float64, nbins int) (radii, density []float64, err error) {
-	if nbins <= 0 || rmax <= 0 {
-		return nil, nil, fmt.Errorf("diag: bad profile parameters rmax=%g nbins=%d", rmax, nbins)
-	}
-	com := s.CenterOfMass()
-	mass := make([]float64, nbins)
-	dr := rmax / float64(nbins)
-	for i := range s.Pos {
-		r := s.Pos[i].D3().Sub(com).Norm()
-		bin := int(r / dr)
-		if bin >= 0 && bin < nbins {
-			mass[bin] += float64(s.Mass[i])
-		}
-	}
-	radii = make([]float64, nbins)
-	density = make([]float64, nbins)
-	for b := 0; b < nbins; b++ {
-		r0 := float64(b) * dr
-		r1 := r0 + dr
-		vol := 4.0 / 3.0 * math.Pi * (r1*r1*r1 - r0*r0*r0)
-		radii[b] = r0 + dr/2
-		density[b] = mass[b] / vol
-	}
-	return radii, density, nil
-}
-
 // VelocityDispersion returns the 1-D velocity dispersion sigma (rms of one
 // Cartesian velocity component about the mean, mass-weighted).
 func VelocityDispersion(s *body.System) float64 {
@@ -117,11 +88,6 @@ func VirialFromEnergies(k, u float64) float64 {
 		return 0
 	}
 	return -k / u
-}
-
-// VirialRatio returns -K/U for the softened potential; 0.5 is equilibrium.
-func VirialRatio(s *body.System, g, eps float64) float64 {
-	return VirialFromEnergies(s.KineticEnergy(), s.PotentialEnergy(g, eps))
 }
 
 // Summary is a one-call bundle of the standard diagnostics.

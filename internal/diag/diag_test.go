@@ -55,38 +55,11 @@ func TestLagrangianRadiiValidation(t *testing.T) {
 	}
 }
 
-func TestDensityProfileDecreases(t *testing.T) {
-	s := ic.Plummer(8000, 2)
-	radii, density, err := DensityProfile(s, 3, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(radii) != 12 || len(density) != 12 {
-		t.Fatalf("lengths %d %d", len(radii), len(density))
-	}
-	// Plummer density falls monotonically; sampling noise allows small
-	// bumps, so compare first to middle to last.
-	if !(density[0] > density[5] && density[5] > density[11]) {
-		t.Errorf("density not decreasing: %v", density)
-	}
-	// Central density of a unit Plummer sphere is 3/(4 pi) ~ 0.2387.
-	if density[0] < 0.1 || density[0] > 0.4 {
-		t.Errorf("central density %g, want ~0.24", density[0])
-	}
-	if _, _, err := DensityProfile(s, -1, 5); err == nil {
-		t.Error("negative rmax accepted")
-	}
-	if _, _, err := DensityProfile(s, 1, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-}
-
 func TestVelocityDispersion(t *testing.T) {
 	// Two bodies moving oppositely: mean 0, sigma1D = |v|/sqrt(3).
-	s := body.FromBodies([]body.Body{
-		{Pos: vec.V3{X: 1}, Vel: vec.V3{X: 2}, Mass: 1},
-		{Pos: vec.V3{X: -1}, Vel: vec.V3{X: -2}, Mass: 1},
-	})
+	s := body.NewSystem(2)
+	s.SetBody(0, body.Body{Pos: vec.V3{X: 1}, Vel: vec.V3{X: 2}, Mass: 1})
+	s.SetBody(1, body.Body{Pos: vec.V3{X: -1}, Vel: vec.V3{X: -2}, Mass: 1})
 	want := 2.0 / math.Sqrt(3)
 	if got := VelocityDispersion(s); math.Abs(got-want) > 1e-9 {
 		t.Errorf("sigma = %g, want %g", got, want)
@@ -102,12 +75,12 @@ func TestVelocityDispersion(t *testing.T) {
 
 func TestVirialRatioEquilibrium(t *testing.T) {
 	s := ic.Plummer(4000, 3)
-	vr := VirialRatio(s, 1, 0)
+	vr := VirialFromEnergies(s.KineticEnergy(), s.PotentialEnergy(1, 0))
 	if vr < 0.4 || vr > 0.6 {
 		t.Errorf("Plummer virial ratio %g, want ~0.5", vr)
 	}
 	cold := ic.UniformCube(500, 2, 3)
-	if vr := VirialRatio(cold, 1, 0); vr != 0 {
+	if vr := VirialFromEnergies(cold.KineticEnergy(), cold.PotentialEnergy(1, 0)); vr != 0 {
 		t.Errorf("cold system virial ratio %g, want 0", vr)
 	}
 }

@@ -18,10 +18,7 @@ func (d *Device) NewBufferF32(name string, n int) *Buffer {
 	if n < 0 {
 		panic(fmt.Sprintf("gpusim: negative buffer size %d for %q", n, name))
 	}
-	b := &Buffer{name: name, f: make([]float32, n)}
-	d.buffers = append(d.buffers, b)
-	d.allocated += int64(n) * 4
-	return b
+	return &Buffer{name: name, f: make([]float32, n)}
 }
 
 // NewBufferI32 allocates an int32 buffer of n elements.
@@ -29,10 +26,7 @@ func (d *Device) NewBufferI32(name string, n int) *Buffer {
 	if n < 0 {
 		panic(fmt.Sprintf("gpusim: negative buffer size %d for %q", n, name))
 	}
-	b := &Buffer{name: name, i: make([]int32, n)}
-	d.buffers = append(d.buffers, b)
-	d.allocated += int64(n) * 4
-	return b
+	return &Buffer{name: name, i: make([]int32, n)}
 }
 
 // Name returns the buffer's debug name.
@@ -45,9 +39,6 @@ func (b *Buffer) Len() int {
 	}
 	return len(b.i)
 }
-
-// Bytes returns the allocation size in bytes.
-func (b *Buffer) Bytes() int64 { return int64(b.Len()) * 4 }
 
 // IsFloat reports whether the buffer holds float32 elements.
 func (b *Buffer) IsFloat() bool { return b.f != nil }

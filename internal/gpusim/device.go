@@ -228,12 +228,9 @@ func (c DeviceConfig) Validate() error {
 	return nil
 }
 
-// Device is a simulated GPU: a configuration plus allocated buffers.
+// Device is a simulated GPU, described by its configuration.
 type Device struct {
 	Config DeviceConfig
-
-	buffers   []*Buffer
-	allocated int64
 }
 
 // NewDevice creates a device with the given configuration.
@@ -253,6 +250,3 @@ func MustNewDevice(cfg DeviceConfig) *Device {
 	}
 	return d
 }
-
-// Allocated returns the total bytes of device buffers currently allocated.
-func (d *Device) Allocated() int64 { return d.allocated }

@@ -166,25 +166,10 @@ func (wi *Item) LoadGlobalF32(b *Buffer, idx int) float32 {
 	return b.f[idx]
 }
 
-// GatherGlobalF32 reads a float32 through a data-dependent index; the cost
-// model charges it the device's scatter penalty.
-func (wi *Item) GatherGlobalF32(b *Buffer, idx int) float32 {
-	wi.checkF32(b, idx)
-	wi.ln.bytesScattered += 4
-	return b.f[idx]
-}
-
 // StoreGlobalF32 writes a float32 to global memory (coalesced).
 func (wi *Item) StoreGlobalF32(b *Buffer, idx int, v float32) {
 	wi.checkF32(b, idx)
 	wi.ln.bytesCoalesced += 4
-	b.f[idx] = v
-}
-
-// ScatterGlobalF32 writes a float32 through a data-dependent index.
-func (wi *Item) ScatterGlobalF32(b *Buffer, idx int, v float32) {
-	wi.checkF32(b, idx)
-	wi.ln.bytesScattered += 4
 	b.f[idx] = v
 }
 
@@ -195,22 +180,12 @@ func (wi *Item) LoadGlobalI32(b *Buffer, idx int) int32 {
 	return b.i[idx]
 }
 
-// GatherGlobalI32 reads an int32 through a data-dependent index.
-func (wi *Item) GatherGlobalI32(b *Buffer, idx int) int32 {
-	wi.checkI32(b, idx)
-	wi.ln.bytesScattered += 4
-	return b.i[idx]
-}
-
 // StoreGlobalI32 writes an int32 to global memory (coalesced).
 func (wi *Item) StoreGlobalI32(b *Buffer, idx int, v int32) {
 	wi.checkI32(b, idx)
 	wi.ln.bytesCoalesced += 4
 	b.i[idx] = v
 }
-
-// LDSLen returns the number of float32 local-memory slots of the group.
-func (wi *Item) LDSLen() int { return len(wi.g.lds) }
 
 // LoadLDS reads local memory slot idx.
 func (wi *Item) LoadLDS(idx int) float32 {
@@ -223,17 +198,6 @@ func (wi *Item) LoadLDS(idx int) float32 {
 func (wi *Item) StoreLDS(idx int, v float32) {
 	wi.ln.ldsBytes += 4
 	wi.g.lds[idx] = v
-}
-
-// AtomicAddGlobalI32 atomically adds delta to an int32 buffer element and
-// returns the new value, like OpenCL's atomic_add on __global int. The cost
-// model charges it as a scattered read-modify-write (hardware serialises
-// conflicting atomics through the memory system).
-func (wi *Item) AtomicAddGlobalI32(b *Buffer, idx int, delta int32) int32 {
-	wi.checkI32(b, idx)
-	wi.ln.bytesScattered += 8 // read + write
-	wi.ln.auxFlops++
-	return atomic.AddInt32(&b.i[idx], delta)
 }
 
 // RawGlobalF32 exposes a buffer's backing store without charging any
@@ -311,14 +275,6 @@ func (r *Result) TotalBytes() (coalesced, scattered int64) {
 		scattered += r.Groups[i].BytesScattered
 	}
 	return coalesced, scattered
-}
-
-// GFLOPS returns useful flops divided by modelled kernel time.
-func (r *Result) GFLOPS() float64 {
-	if r.Timing.KernelSeconds <= 0 {
-		return 0
-	}
-	return float64(r.TotalFlops()) / r.Timing.KernelSeconds / 1e9
 }
 
 // Launch executes the kernel over the NDRange and returns its counted work

@@ -209,9 +209,6 @@ func (m CPUModel) Seconds(flops int64) float64 {
 	return float64(flops) / (m.ClockHz * m.FlopsPerCycle)
 }
 
-// GFLOPS returns the model's sustained rate.
-func (m CPUModel) GFLOPS() float64 { return m.ClockHz * m.FlopsPerCycle / 1e9 }
-
 // HostModel models the host-side work of the jw-parallel pipeline (octree
 // build and interaction-list construction run on the CPU while the GPU
 // evaluates forces). Rates are ops-per-second calibrated to the same

@@ -77,10 +77,10 @@ func TestStarvationAtFewGroups(t *testing.T) {
 	// One group cannot use more than one CU: GFLOPS should be far below a
 	// fully-populated launch.
 	d := testDev(t)
-	one := launchUniform(t, d, 1, 10000, 4, 0, 0)
-	many := launchUniform(t, d, 32, 10000, 4, 0, 0)
-	if one.GFLOPS() > 0.7*many.GFLOPS() {
-		t.Errorf("single-group launch not starved: %g vs %g GFLOPS", one.GFLOPS(), many.GFLOPS())
+	one := gflops(launchUniform(t, d, 1, 10000, 4, 0, 0))
+	many := gflops(launchUniform(t, d, 32, 10000, 4, 0, 0))
+	if one > 0.7*many {
+		t.Errorf("single-group launch not starved: %g vs %g GFLOPS", one, many)
 	}
 }
 
@@ -180,7 +180,7 @@ func TestTransferSeconds(t *testing.T) {
 
 func TestCPUModel(t *testing.T) {
 	m := PaperCPU()
-	if g := m.GFLOPS(); g < 0.4 || g > 0.7 {
+	if g := 1 / m.Seconds(1e9); g < 0.4 || g > 0.7 {
 		t.Errorf("paper CPU rate %g GFLOPS, want ~0.55", g)
 	}
 	if s := m.Seconds(int64(m.ClockHz * m.FlopsPerCycle)); math.Abs(s-1) > 1e-9 {
@@ -219,9 +219,12 @@ func TestResultGFLOPS(t *testing.T) {
 	if res.TotalFlops() != wantFlops {
 		t.Errorf("TotalFlops = %d, want %d", res.TotalFlops(), wantFlops)
 	}
-	g := res.GFLOPS()
-	manual := float64(wantFlops) / res.Timing.KernelSeconds / 1e9
-	if math.Abs(g-manual) > 1e-9 {
-		t.Errorf("GFLOPS = %g, manual %g", g, manual)
+	if g := gflops(res); g <= 0 || g > d.Config.PeakGFLOPS() {
+		t.Errorf("GFLOPS = %g, want in (0, peak %g]", g, d.Config.PeakGFLOPS())
 	}
+}
+
+// gflops is a launch's useful flops divided by its modelled kernel time.
+func gflops(r *Result) float64 {
+	return float64(r.TotalFlops()) / r.Timing.KernelSeconds / 1e9
 }

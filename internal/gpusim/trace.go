@@ -2,7 +2,6 @@ package gpusim
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/obs"
@@ -56,21 +55,4 @@ func TraceEvents(cfg DeviceConfig, basePID int, results ...*Result) []obs.TraceE
 		offset += r.Timing.Cycles * usPerCycle
 	}
 	return events
-}
-
-// TraceEvents is the method form of the package-level TraceEvents for the
-// device's own configuration.
-func (d *Device) TraceEvents(basePID int, results ...*Result) []obs.TraceEvent {
-	return TraceEvents(d.Config, basePID, results...)
-}
-
-// WriteTrace exports the modelled schedule of one or more launches as Chrome
-// trace JSON, viewable in chrome://tracing or Perfetto. It is a debugging
-// aid for the PTPM analyses (an unbalanced schedule or a memory-bound cliff
-// is obvious at a glance). For the merged host+device view, see
-// cl.WriteMergedTrace.
-func (d *Device) WriteTrace(w io.Writer, results ...*Result) error {
-	return obs.WriteChromeTrace(w, map[string]any{
-		"device": d.Config.Name,
-	}, d.TraceEvents(obs.PIDDeviceBase, results...))
 }

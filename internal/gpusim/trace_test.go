@@ -8,18 +8,19 @@ import (
 	"repro/internal/obs"
 )
 
-// decodeTrace unmarshals a Chrome trace document written by WriteTrace.
-func decodeTrace(t *testing.T, data []byte) []obs.TraceEvent {
+// writeTrace writes the device's trace events for results as a Chrome
+// trace document and decodes it again.
+func writeTrace(t *testing.T, d *Device, results ...*Result) []obs.TraceEvent {
 	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, nil, TraceEvents(d.Config, obs.PIDDeviceBase, results...)); err != nil {
+		t.Fatal(err)
+	}
 	var doc struct {
 		TraceEvents []obs.TraceEvent `json:"traceEvents"`
-		OtherData   map[string]any   `json:"otherData"`
 	}
-	if err := json.Unmarshal(data, &doc); err != nil {
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if doc.OtherData["device"] == "" {
-		t.Error("trace missing device provenance in otherData")
 	}
 	return doc.TraceEvents
 }
@@ -27,11 +28,7 @@ func decodeTrace(t *testing.T, data []byte) []obs.TraceEvent {
 func TestWriteTraceEventsAndMetadata(t *testing.T) {
 	d := testDev(t)
 	res := launchUniform(t, d, 4, 100, 16, 0, 0)
-	var buf bytes.Buffer
-	if err := d.WriteTrace(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	events := decodeTrace(t, buf.Bytes())
+	events := writeTrace(t, d, res)
 
 	var slices, procNames int
 	threadNames := map[int]bool{}
@@ -85,11 +82,7 @@ func TestWriteTraceMultiKernelPIDs(t *testing.T) {
 	d := testDev(t)
 	r1 := launchUniform(t, d, 2, 100, 16, 0, 0)
 	r2 := launchUniform(t, d, 3, 200, 16, 0, 0)
-	var buf bytes.Buffer
-	if err := d.WriteTrace(&buf, r1, r2); err != nil {
-		t.Fatal(err)
-	}
-	events := decodeTrace(t, buf.Bytes())
+	events := writeTrace(t, d, r1, r2)
 
 	slicesByPID := map[int]int{}
 	procByPID := map[int]int{}
@@ -132,7 +125,7 @@ func TestWriteTraceMultiKernelPIDs(t *testing.T) {
 func TestTraceEventsSchedulesAreNonOverlappingPerCU(t *testing.T) {
 	d := testDev(t)
 	res := launchUniform(t, d, 16, 500, 16, 0, 0)
-	events := d.TraceEvents(obs.PIDDeviceBase, res)
+	events := TraceEvents(d.Config, obs.PIDDeviceBase, res)
 	lastEnd := map[int]float64{}
 	for _, e := range events {
 		if e.Phase != "X" {

@@ -86,18 +86,7 @@ func (*Hermite) Name() string { return "hermite" }
 // SetBlockForce implements BlockIntegrator.
 func (h *Hermite) SetBlockForce(f BlockForceFunc) { h.blockForce = f }
 
-// Reset clears the scheduler state (e.g. after the system is replaced); the
-// next Step re-primes forces and block levels.
-func (h *Hermite) Reset() {
-	h.n = 0
-	h.fallback = nil
-	h.substeps = 0
-	h.activeTotals = 0
-	h.slotTotals = 0
-}
-
-// Substeps returns the number of block substeps taken since construction or
-// Reset.
+// Substeps returns the number of block substeps taken since construction.
 func (h *Hermite) Substeps() int64 { return h.substeps }
 
 // MeanActiveFraction returns the mean fraction of bodies active per block

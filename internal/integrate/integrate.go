@@ -81,9 +81,6 @@ func (l *Leapfrog) Step(s *body.System, dt float32, force ForceFunc) int64 {
 	return n
 }
 
-// Reset clears the priming state, e.g. after the system is replaced.
-func (l *Leapfrog) Reset() { l.primed = false }
-
 // Verlet is velocity Verlet with a cached previous acceleration:
 // x += v dt + a dt^2/2; then v += (a_old + a_new) dt / 2.
 type Verlet struct {
@@ -124,9 +121,6 @@ func (v *Verlet) Step(s *body.System, dt float32, force ForceFunc) int64 {
 	}
 	return n
 }
-
-// Reset clears the acceleration cache.
-func (v *Verlet) Reset() { v.primed = false }
 
 // Names lists the canonical integrator names New accepts, in order of
 // increasing sophistication. CLI flags and the job service validate against

@@ -154,17 +154,6 @@ func (r *Result) Active() []Diagnostic {
 	return out
 }
 
-// Errors returns the unsuppressed error-severity findings.
-func (r *Result) Errors() []Diagnostic {
-	var out []Diagnostic
-	for _, d := range r.Diags {
-		if !d.Suppressed && d.Sev == SevError {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Suppressed returns the findings silenced by pragmas.
 func (r *Result) Suppressed() []Diagnostic {
 	var out []Diagnostic

@@ -49,17 +49,6 @@ func Rules() []*Rule {
 	return out
 }
 
-// RuleNames lists the registered rule names plus the implicit pragma-audit
-// rule "suppression".
-func RuleNames() []string {
-	names := []string{"suppression"}
-	for _, r := range Rules() {
-		names = append(names, r.Name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Context hands a rule everything it needs: the loader (for positions,
 // deprecation facts, the module layout) and the package under analysis,
 // plus the check-wide shared state.

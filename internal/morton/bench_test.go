@@ -3,7 +3,6 @@ package morton
 import (
 	"testing"
 
-	"repro/internal/ic"
 	"repro/internal/rng"
 )
 
@@ -15,15 +14,6 @@ func BenchmarkEncode(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkKeys(b *testing.B) {
-	s := ic.Plummer(65536, 1)
-	var keys []uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		keys = Keys(s, keys)
-	}
-}
-
 func BenchmarkRadixSort(b *testing.B) {
 	r := rng.New(1)
 	base := make([]uint64, 1<<16)
@@ -31,18 +21,10 @@ func BenchmarkRadixSort(b *testing.B) {
 		base[i] = r.Uint64()
 	}
 	keys := make([]uint64, len(base))
+	var s Sorter
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(keys, base)
-		RadixSortKeys(keys, nil)
-	}
-}
-
-func BenchmarkSortSystem(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := ic.Plummer(16384, uint64(i))
-		b.StartTimer()
-		SortSystem(s)
+		s.Sort(keys, nil)
 	}
 }

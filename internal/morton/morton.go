@@ -1,18 +1,11 @@
 // Package morton implements 3-dimensional Morton (Z-order) encoding and a
-// radix sort of bodies along the resulting space-filling curve.
+// radix sort of the resulting keys.
 //
 // Sorting bodies in Morton order before the Barnes-Hut tree build makes the
 // bodies of each octree leaf contiguous in memory, which is what lets the
 // w- and jw-parallel plans treat a walk's bodies as a dense range and load
 // them with coalesced accesses.
 package morton
-
-import (
-	"sort"
-
-	"repro/internal/body"
-	"repro/internal/vec"
-)
 
 // Bits is the number of bits encoded per axis; 3*Bits = 63 fits a uint64.
 const Bits = 21
@@ -28,109 +21,10 @@ func spread3(x uint64) uint64 {
 	return x
 }
 
-// compact3 is the inverse of spread3: it gathers every third bit of x into
-// the low 21 bits.
-func compact3(x uint64) uint64 {
-	x &= 0x1249249249249249
-	x = (x ^ x>>2) & 0x10c30c30c30c30c3
-	x = (x ^ x>>4) & 0x100f00f00f00f00f
-	x = (x ^ x>>8) & 0x1f0000ff0000ff
-	x = (x ^ x>>16) & 0x1f00000000ffff
-	x = (x ^ x>>32) & 0x1fffff
-	return x
-}
-
 // Encode interleaves three 21-bit axis indices into a single Morton key.
 // Axis values larger than 2^21-1 are truncated to the low 21 bits.
 func Encode(ix, iy, iz uint32) uint64 {
 	return spread3(uint64(ix)) | spread3(uint64(iy))<<1 | spread3(uint64(iz))<<2
-}
-
-// Decode splits a Morton key back into its three axis indices.
-func Decode(key uint64) (ix, iy, iz uint32) {
-	return uint32(compact3(key)), uint32(compact3(key >> 1)), uint32(compact3(key >> 2))
-}
-
-// Quantize maps a position inside bounds to its 21-bit-per-axis cell
-// indices. Positions on the upper boundary map to the last cell.
-func Quantize(p vec.V3, bounds vec.AABB) (ix, iy, iz uint32) {
-	const cells = 1 << Bits
-	size := bounds.Size()
-	q := func(v, lo, extent float32) uint32 {
-		if extent <= 0 {
-			return 0
-		}
-		f := float64(v-lo) / float64(extent)
-		i := int64(f * cells)
-		if i < 0 {
-			i = 0
-		}
-		if i >= cells {
-			i = cells - 1
-		}
-		return uint32(i)
-	}
-	return q(p.X, bounds.Min.X, size.X), q(p.Y, bounds.Min.Y, size.Y), q(p.Z, bounds.Min.Z, size.Z)
-}
-
-// Key returns the Morton key of position p within bounds.
-func Key(p vec.V3, bounds vec.AABB) uint64 {
-	ix, iy, iz := Quantize(p, bounds)
-	return Encode(ix, iy, iz)
-}
-
-// Keys computes the Morton key of every body in s relative to its bounding
-// box, appending into dst (which is grown as needed and returned).
-func Keys(s *body.System, dst []uint64) []uint64 {
-	if cap(dst) < s.N() {
-		dst = make([]uint64, s.N())
-	}
-	dst = dst[:s.N()]
-	b := s.Bounds()
-	for i, p := range s.Pos {
-		dst[i] = Key(p, b)
-	}
-	return dst
-}
-
-// SortSystem reorders the bodies of s in place along the Morton curve and
-// returns the permutation applied (perm[newIndex] = oldIndex).
-func SortSystem(s *body.System) []int {
-	keys := Keys(s, nil)
-	perm := make([]int, s.N())
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
-	applyPermutation(s, perm)
-	return perm
-}
-
-func applyPermutation(s *body.System, perm []int) {
-	n := s.N()
-	pos := make([]vec.V3, n)
-	vel := make([]vec.V3, n)
-	acc := make([]vec.V3, n)
-	mass := make([]float32, n)
-	for newI, oldI := range perm {
-		pos[newI] = s.Pos[oldI]
-		vel[newI] = s.Vel[oldI]
-		acc[newI] = s.Acc[oldI]
-		mass[newI] = s.Mass[oldI]
-	}
-	copy(s.Pos, pos)
-	copy(s.Vel, vel)
-	copy(s.Acc, acc)
-	copy(s.Mass, mass)
-}
-
-// RadixSortKeys sorts keys (and the parallel idx slice) in place using an
-// 8-bit LSD radix sort — O(N) rather than O(N log N), the variant a
-// production tree build would use. idx may be nil. It allocates scratch per
-// call; hot paths that sort every step should hold a Sorter instead.
-func RadixSortKeys(keys []uint64, idx []int32) {
-	var s Sorter
-	s.Sort(keys, idx)
 }
 
 // Sorter is a reusable radix sorter: it owns the scratch buffers the LSD
@@ -142,9 +36,9 @@ type Sorter struct {
 	tmpI []int32
 }
 
-// Sort sorts keys (and the parallel idx slice, which may be nil) in place —
-// the same stable 8-bit LSD radix sort as RadixSortKeys, reusing the
-// sorter's scratch.
+// Sort sorts keys (and the parallel idx slice, which may be nil) in place
+// with a stable 8-bit LSD radix sort — O(N) rather than O(N log N) —
+// reusing the sorter's scratch.
 func (s *Sorter) Sort(keys []uint64, idx []int32) {
 	n := len(keys)
 	if n < 2 {

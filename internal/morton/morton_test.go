@@ -6,15 +6,31 @@ import (
 	"testing/quick"
 
 	"repro/internal/ic"
-	"repro/internal/vec"
 )
+
+// compact3 is the inverse of spread3: it gathers every third bit of x into
+// the low 21 bits.
+func compact3(x uint64) uint64 {
+	x &= 0x1249249249249249
+	x = (x ^ x>>2) & 0x10c30c30c30c30c3
+	x = (x ^ x>>4) & 0x100f00f00f00f00f
+	x = (x ^ x>>8) & 0x1f0000ff0000ff
+	x = (x ^ x>>16) & 0x1f00000000ffff
+	x = (x ^ x>>32) & 0x1fffff
+	return x
+}
+
+// decode splits a Morton key back into its three axis indices.
+func decode(key uint64) (ix, iy, iz uint32) {
+	return uint32(compact3(key)), uint32(compact3(key >> 1)), uint32(compact3(key >> 2))
+}
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(x, y, z uint32) bool {
 		x &= (1 << Bits) - 1
 		y &= (1 << Bits) - 1
 		z &= (1 << Bits) - 1
-		gx, gy, gz := Decode(Encode(x, y, z))
+		gx, gy, gz := decode(Encode(x, y, z))
 		return gx == x && gy == y && gz == z
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -51,35 +67,11 @@ func TestEncodeMonotoneInOctants(t *testing.T) {
 	}
 }
 
-func TestQuantize(t *testing.T) {
-	b := vec.AABB{Min: vec.V3{X: 0, Y: 0, Z: 0}, Max: vec.V3{X: 1, Y: 1, Z: 1}}
-	ix, iy, iz := Quantize(vec.V3{X: 0, Y: 0, Z: 0}, b)
-	if ix != 0 || iy != 0 || iz != 0 {
-		t.Errorf("Quantize(min) = %d,%d,%d", ix, iy, iz)
-	}
-	ix, iy, iz = Quantize(vec.V3{X: 1, Y: 1, Z: 1}, b)
-	const last = 1<<Bits - 1
-	if ix != last || iy != last || iz != last {
-		t.Errorf("Quantize(max) = %d,%d,%d, want %d", ix, iy, iz, last)
-	}
-	// Out-of-bounds points clamp.
-	ix, _, _ = Quantize(vec.V3{X: -5, Y: 0.5, Z: 0.5}, b)
-	if ix != 0 {
-		t.Errorf("Quantize clamped low = %d", ix)
-	}
-	// Degenerate (zero-extent) axis maps to 0.
-	flat := vec.AABB{Min: vec.V3{X: 0, Y: 0, Z: 0}, Max: vec.V3{X: 1, Y: 0, Z: 1}}
-	_, iy, _ = Quantize(vec.V3{X: 0.5, Y: 0, Z: 0.5}, flat)
-	if iy != 0 {
-		t.Errorf("degenerate axis index = %d", iy)
-	}
-}
-
 func TestRadixSortMatchesStdSort(t *testing.T) {
 	f := func(keys []uint64) bool {
 		mine := append([]uint64(nil), keys...)
 		ref := append([]uint64(nil), keys...)
-		RadixSortKeys(mine, nil)
+		new(Sorter).Sort(mine, nil)
 		sort.Slice(ref, func(a, b int) bool { return ref[a] < ref[b] })
 		for i := range mine {
 			if mine[i] != ref[i] {
@@ -96,7 +88,7 @@ func TestRadixSortMatchesStdSort(t *testing.T) {
 func TestRadixSortCarriesIndices(t *testing.T) {
 	keys := []uint64{5, 1, 4, 1, 3}
 	idx := []int32{0, 1, 2, 3, 4}
-	RadixSortKeys(keys, idx)
+	new(Sorter).Sort(keys, idx)
 	wantKeys := []uint64{1, 1, 3, 4, 5}
 	wantIdx := []int32{1, 3, 4, 2, 0} // stable
 	for i := range keys {
@@ -112,31 +104,33 @@ func TestRadixSortIdxLengthMismatchPanics(t *testing.T) {
 			t.Fatal("no panic on mismatched idx")
 		}
 	}()
-	RadixSortKeys([]uint64{1, 2}, []int32{0})
+	new(Sorter).Sort([]uint64{1, 2}, []int32{0})
 }
 
 func TestSortSystemIsSpatial(t *testing.T) {
 	s := ic.Plummer(512, 3)
-	orig := s.Clone()
-	perm := SortSystem(s)
-
-	// The permutation must be a bijection and the bodies must be the same
-	// multiset.
-	seen := make([]bool, len(perm))
-	for newI, oldI := range perm {
-		if seen[oldI] {
-			t.Fatalf("old index %d used twice", oldI)
-		}
-		seen[oldI] = true
-		if s.Pos[newI] != orig.Pos[oldI] || s.Mass[newI] != orig.Mass[oldI] {
-			t.Fatalf("body %d not moved consistently", newI)
-		}
+	b := s.Bounds()
+	size := b.Size()
+	// cell maps a coordinate to its 21-bit cell index along one axis.
+	cell := func(v, lo, extent float32) uint32 {
+		return uint32(float64(v-lo) / float64(extent) * (1<<Bits - 1))
 	}
+	keys := make([]uint64, s.N())
+	idx := make([]int32, s.N())
+	for i, p := range s.Pos {
+		keys[i] = Encode(cell(p.X, b.Min.X, size.X), cell(p.Y, b.Min.Y, size.Y), cell(p.Z, b.Min.Z, size.Z))
+		idx[i] = int32(i)
+	}
+	new(Sorter).Sort(keys, idx)
 
-	// Keys must now be non-decreasing.
-	keys := Keys(s, nil)
-	for i := 1; i < len(keys); i++ {
-		if keys[i] < keys[i-1] {
+	// The order must be a permutation, and its keys non-decreasing.
+	seen := make([]bool, len(idx))
+	for i, bi := range idx {
+		if seen[bi] {
+			t.Fatalf("body %d ordered twice", bi)
+		}
+		seen[bi] = true
+		if i > 0 && keys[i] < keys[i-1] {
 			t.Fatalf("keys not sorted at %d", i)
 		}
 	}
@@ -145,9 +139,9 @@ func TestSortSystemIsSpatial(t *testing.T) {
 	// than random pairs.
 	var adjacent, random float64
 	for i := 1; i < s.N(); i++ {
-		adjacent += float64(s.Pos[i].Sub(s.Pos[i-1]).Norm())
+		adjacent += float64(s.Pos[idx[i]].Sub(s.Pos[idx[i-1]]).Norm())
 		j := (i * 7919) % s.N()
-		random += float64(s.Pos[i].Sub(s.Pos[j]).Norm())
+		random += float64(s.Pos[idx[i]].Sub(s.Pos[idx[j]]).Norm())
 	}
 	if adjacent > 0.7*random {
 		t.Errorf("Morton order not local: adjacent=%g random=%g", adjacent, random)

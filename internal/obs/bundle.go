@@ -266,14 +266,6 @@ func (s *BundleStore) Open(id string) (io.ReadCloser, BundleInfo, error) {
 	return f, info, nil
 }
 
-// Dir returns the store's directory.
-func (s *BundleStore) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
 // writeTarGz writes the members (sorted by name, for determinism) into a
 // gzipped tar at path and returns the archive size.
 func writeTarGz(path string, members map[string][]byte) (int64, error) {

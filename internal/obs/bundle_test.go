@@ -156,7 +156,7 @@ func TestBundleNilStore(t *testing.T) {
 	if _, err := s.Capture("x", "", "", nil); err == nil {
 		t.Fatal("nil store must refuse captures")
 	}
-	if s.List() != nil || s.Dir() != "" {
+	if s.List() != nil {
 		t.Fatal("nil store must be inert")
 	}
 	if _, _, err := s.Open("x"); !errors.Is(err, ErrBundleNotFound) {

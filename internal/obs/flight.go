@@ -71,22 +71,6 @@ func (r *FlightRecorder) Record(ev FlightEvent) {
 	r.mu.Unlock()
 }
 
-// Event records a point-in-time marker.
-func (r *FlightRecorder) Event(name, detail string) {
-	r.Record(FlightEvent{Kind: "event", Name: name, Detail: detail})
-}
-
-// Span records a completed interval that started at the given time.
-func (r *FlightRecorder) Span(name, detail string, start time.Time) {
-	r.Record(FlightEvent{
-		Kind:     "span",
-		Name:     name,
-		Detail:   detail,
-		AtUnixMS: start.UnixMilli(),
-		DurMS:    float64(time.Since(start)) / float64(time.Millisecond),
-	})
-}
-
 // Events returns the retained events oldest first (nil for a nil recorder).
 func (r *FlightRecorder) Events() []FlightEvent {
 	if r == nil {
@@ -102,16 +86,6 @@ func (r *FlightRecorder) Events() []FlightEvent {
 		out = append(out, r.buf...)
 	}
 	return out
-}
-
-// Total returns how many events were ever recorded (retained + evicted).
-func (r *FlightRecorder) Total() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }
 
 // Dropped returns how many events the ring has evicted.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestFlightRecorderKeepsOrderBeforeWrap(t *testing.T) {
@@ -43,36 +42,18 @@ func TestFlightRecorderWrapEvictsOldest(t *testing.T) {
 			t.Fatalf("event %d = %q, want %q (last 4 retained, oldest first)", i, ev.Name, want)
 		}
 	}
-	if r.Total() != 10 {
-		t.Fatalf("Total() = %d, want 10", r.Total())
-	}
 	if r.Dropped() != 6 {
 		t.Fatalf("Dropped() = %d, want 6", r.Dropped())
-	}
-}
-
-func TestFlightRecorderSpanHelper(t *testing.T) {
-	r := NewFlightRecorder(0) // default capacity
-	start := time.Now().Add(-10 * time.Millisecond)
-	r.Span("run", "attempt 0", start)
-	evs := r.Events()
-	if len(evs) != 1 {
-		t.Fatalf("got %d events, want 1", len(evs))
-	}
-	if evs[0].Kind != "span" || evs[0].DurMS < 5 {
-		t.Fatalf("span helper recorded %+v, want kind span with >= 5ms", evs[0])
 	}
 }
 
 func TestFlightRecorderNilIsNoOp(t *testing.T) {
 	var r *FlightRecorder
 	r.Record(FlightEvent{Name: "x"})
-	r.Event("x", "")
-	r.Span("x", "", time.Now())
 	if evs := r.Events(); evs != nil {
 		t.Fatalf("nil recorder events = %v", evs)
 	}
-	if r.Total() != 0 || r.Dropped() != 0 {
+	if r.Dropped() != 0 {
 		t.Fatal("nil recorder counts non-zero")
 	}
 }
@@ -83,11 +64,11 @@ func TestFlightRecorderNilIsNoOp(t *testing.T) {
 func TestFlightRecorderConcurrentAppend(t *testing.T) {
 	r := NewFlightRecorder(32)
 	const writers, per = 8, 200
-	var wg sync.WaitGroup
+	var reader, writing sync.WaitGroup
 	stop := make(chan struct{})
-	wg.Add(1)
+	reader.Add(1)
 	go func() { // concurrent reader
-		defer wg.Done()
+		defer reader.Done()
 		for {
 			select {
 			case <-stop:
@@ -99,23 +80,22 @@ func TestFlightRecorderConcurrentAppend(t *testing.T) {
 		}
 	}()
 	for w := 0; w < writers; w++ {
-		wg.Add(1)
+		writing.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer writing.Done()
 			for i := 0; i < per; i++ {
-				r.Event(fmt.Sprintf("w%d-%d", w, i), "")
+				r.Record(FlightEvent{Kind: "event", Name: fmt.Sprintf("w%d-%d", w, i)})
 			}
 		}(w)
 	}
-	for r.Total() < writers*per {
-		time.Sleep(time.Millisecond)
-	}
+	writing.Wait()
 	close(stop)
-	wg.Wait()
-	if got := r.Total(); got != writers*per {
-		t.Fatalf("Total() = %d, want %d", got, writers*per)
-	}
-	if evs := r.Events(); len(evs) != 32 {
+	reader.Wait()
+	evs := r.Events()
+	if len(evs) != 32 {
 		t.Fatalf("retained %d, want 32", len(evs))
+	}
+	if got := r.Dropped() + int64(len(evs)); got != writers*per {
+		t.Fatalf("recorded %d, want %d", got, writers*per)
 	}
 }

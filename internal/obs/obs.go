@@ -39,14 +39,6 @@ func (o *Obs) Tracer() *Tracer {
 	return o.Trace
 }
 
-// Registry returns the metrics registry, or nil when o is nil.
-func (o *Obs) Registry() *Registry {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics
-}
-
 // Start opens a wall-clock span on the bundled tracer (no-op when o or the
 // tracer is nil).
 func (o *Obs) Start(name, category string) *Span {

@@ -315,18 +315,3 @@ func (t *SLOTracker) Snapshot() []SLOStatus {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
-
-// Objectives returns the declared objective names, sorted.
-func (t *SLOTracker) Objectives() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.objs))
-	for name := range t.objs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}

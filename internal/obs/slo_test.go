@@ -136,7 +136,7 @@ func TestSLOTrackerNilAndUnknown(t *testing.T) {
 	if _, rising := tr.Observe("x", false); rising {
 		t.Fatal("nil tracker must not alarm")
 	}
-	if tr.Snapshot() != nil || tr.Objectives() != nil {
+	if tr.Snapshot() != nil {
 		t.Fatal("nil tracker snapshots must be nil")
 	}
 	tr2, _ := newTestTracker(t, nil, SLOObjective{Name: "a", Target: 0.9})

@@ -100,14 +100,6 @@ func (tc TraceContext) Child() TraceContext {
 	return TraceContext{TraceID: tc.TraceID, SpanID: NewSpanID()}
 }
 
-// TraceParent renders tc in W3C traceparent form ("" when invalid).
-func (tc TraceContext) TraceParent() string {
-	if !tc.Valid() {
-		return ""
-	}
-	return "00-" + tc.TraceID + "-" + tc.SpanID + "-01"
-}
-
 // ParseTraceParent parses a W3C traceparent header. It accepts any version
 // byte except ff (per spec, unknown versions are read as version 00 when the
 // tail matches) and ignores the trace-flags octet. ok is false for anything

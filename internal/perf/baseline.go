@@ -23,11 +23,6 @@ type Thresholds struct {
 	Occupancy float64 `json:"occupancy"`
 }
 
-// DefaultThresholds allows 5% on every metric.
-func DefaultThresholds() Thresholds {
-	return Thresholds{KernelMS: 0.05, TotalMS: 0.05, GFLOPS: 0.05, Occupancy: 0.05}
-}
-
 // Regression is one metric of one point that worsened past its threshold.
 type Regression struct {
 	Plan     string  `json:"plan"`

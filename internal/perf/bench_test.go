@@ -145,7 +145,7 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 
 func TestCompareNoRegressionAgainstSelf(t *testing.T) {
 	rep := getBench(t)
-	regs, warns, err := Compare(rep, rep, DefaultThresholds())
+	regs, warns, err := Compare(rep, rep, fivePercent)
 	if err != nil {
 		t.Fatalf("Compare: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestCompareDetectsSlowedDevice(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunBench(slow): %v", err)
 	}
-	regs, warns, err := Compare(base, cur, DefaultThresholds())
+	regs, warns, err := Compare(base, cur, fivePercent)
 	if err != nil {
 		t.Fatalf("Compare: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestCompareSchemaMismatch(t *testing.T) {
 	rep := getBench(t)
 	other := *rep
 	other.SchemaVersion = rep.SchemaVersion + 1
-	if _, _, err := Compare(rep, &other, DefaultThresholds()); err == nil {
+	if _, _, err := Compare(rep, &other, fivePercent); err == nil {
 		t.Fatal("schema mismatch accepted")
 	}
 }
@@ -204,7 +204,7 @@ func TestCompareDisjointPointsWarns(t *testing.T) {
 	rep := getBench(t)
 	other := *rep
 	other.Points = []BenchPoint{{Plan: "i-parallel", N: 999999}}
-	_, warns, err := Compare(rep, &other, DefaultThresholds())
+	_, warns, err := Compare(rep, &other, fivePercent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestReadBenchReportUpgradesV1(t *testing.T) {
 		}
 	}
 	// The upgraded baseline must be comparable against a fresh v2 report.
-	regs, _, err := Compare(got, rep, DefaultThresholds())
+	regs, _, err := Compare(got, rep, fivePercent)
 	if err != nil {
 		t.Fatalf("Compare(v1-upgraded, v2): %v", err)
 	}
@@ -411,3 +411,6 @@ func TestNewPlanCoversAll(t *testing.T) {
 		}
 	}
 }
+
+// fivePercent allows 5% on every compared metric.
+var fivePercent = Thresholds{KernelMS: 0.05, TotalMS: 0.05, GFLOPS: 0.05, Occupancy: 0.05}

@@ -45,8 +45,9 @@ type Attribution struct {
 	LongestStageSeconds float64 `json:"longestStageSeconds"`
 
 	// MakespanSeconds is the end of the executed timeline: where the last
-	// stage finished on the queue clock. On an in-order queue it equals
-	// SerialSeconds; with out-of-order overlap it is smaller.
+	// stage finished on the queue clock. A schedule from one in-order queue
+	// has no overlap, so it equals SerialSeconds; it is smaller only when
+	// stages overlap.
 	MakespanSeconds float64 `json:"makespanSeconds"`
 
 	// HostBuildWallSeconds is the *measured* wall-clock time of the host-side
@@ -80,7 +81,7 @@ func stageOfKind(k pipeline.Kind) Stage {
 // the typed record of which stages ran and where they landed on the modelled
 // timeline. Stage kinds come from the graph that actually executed, so no
 // name convention is involved, and the makespan reflects real placement
-// (including out-of-order overlap) rather than assuming serial execution.
+// (including any overlap) rather than assuming serial execution.
 func AttributeExecuted(sched *pipeline.Schedule) Attribution {
 	a := Attribution{
 		StageSeconds:   map[Stage]float64{},

@@ -120,9 +120,8 @@ func TestAttributeExecutedSchedule(t *testing.T) {
 	}
 }
 
-// TestAttributeExecutedOverlappedMakespan: when stages overlapped on the
-// executed timeline (out-of-order queue), the makespan is shorter than the
-// serial sum.
+// TestAttributeExecutedOverlappedMakespan: when stages overlap on the
+// executed timeline, the makespan is shorter than the serial sum.
 func TestAttributeExecutedOverlappedMakespan(t *testing.T) {
 	sched := &pipeline.Schedule{Graph: "test", Spans: []pipeline.StageSpan{
 		span("tree", pipeline.Tree, 0, 0.004),          // host chain

@@ -25,14 +25,6 @@ type Tolerances struct {
 	VirialMin, VirialMax float64
 }
 
-// DefaultTolerances returns a band suitable for leapfrog runs of the
-// repository's equilibrium workloads: energy to 1% and momentum to 1e-3,
-// with the virial check disabled (collision-style workloads are far from
-// equilibrium by construction).
-func DefaultTolerances() Tolerances {
-	return Tolerances{MaxEnergyDrift: 1e-2, MaxMomentumDrift: 1e-3}
-}
-
 // Violation is the error returned when a check fails.
 type Violation struct {
 	Step   int
@@ -58,9 +50,6 @@ type Watchdog struct {
 	e0      float64
 	p0      vec.D3
 }
-
-// Reset drops the recorded baseline so the watchdog can observe a new run.
-func (w *Watchdog) Reset() { w.started = false }
 
 // EnergyDrift returns the relative drift of total energy e against the
 // recorded baseline (0 before the baseline exists).

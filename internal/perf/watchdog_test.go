@@ -74,15 +74,3 @@ func TestWatchdogDisabledAndNil(t *testing.T) {
 		t.Fatalf("nil watchdog flagged: %v", err)
 	}
 }
-
-func TestWatchdogReset(t *testing.T) {
-	w := &Watchdog{Tol: Tolerances{MaxEnergyDrift: 0.01}}
-	if err := w.Check(0, 0, -1.0, vec.D3{}); err != nil {
-		t.Fatal(err)
-	}
-	w.Reset()
-	// New baseline at a very different energy must not trip the check.
-	if err := w.Check(0, 0, -50.0, vec.D3{}); err != nil {
-		t.Fatalf("post-reset baseline flagged: %v", err)
-	}
-}

@@ -102,9 +102,6 @@ func NewGraph(name string) *Graph {
 	return &Graph{name: name, index: make(map[string]int)}
 }
 
-// Name returns the graph's name.
-func (g *Graph) Name() string { return g.name }
-
 // Add appends a stage and returns the graph. A duplicate name, empty name,
 // or nil Run is recorded as a construction error.
 func (g *Graph) Add(st Stage) *Graph {
@@ -266,20 +263,6 @@ func (s *Schedule) DeviceSeconds() float64 {
 		}
 	}
 	return t
-}
-
-// SerialSeconds is the fully serialised evaluation time — the paper's
-// "total time" basis.
-func (s *Schedule) SerialSeconds() float64 { return s.HostSeconds() + s.DeviceSeconds() }
-
-// PipelinedSeconds is the steady-state per-step time under cross-step
-// double buffering: the slower of the host and device chains.
-func (s *Schedule) PipelinedSeconds() float64 {
-	h, d := s.HostSeconds(), s.DeviceSeconds()
-	if h > d {
-		return h
-	}
-	return d
 }
 
 // MakespanSeconds is the executed timeline span of this schedule (latest

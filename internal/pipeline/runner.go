@@ -52,9 +52,7 @@ type Runner struct {
 
 	hostFree    float64 // when the host can start the next step's build
 	devFree     float64 // when the device can start the next step's chain
-	steps       int
 	windowStart float64
-	lastStep    float64
 }
 
 // end returns the current timeline horizon.
@@ -83,9 +81,7 @@ func (r *Runner) Account(hostSeconds, devSeconds float64) float64 {
 		}
 		r.devFree = devStart + devSeconds
 	}
-	r.steps++
-	r.lastStep = r.end() - prev
-	return r.lastStep
+	return r.end() - prev
 }
 
 // AccountSchedule places one executed Graph schedule on the timeline.
@@ -117,15 +113,3 @@ func (r *Runner) EndWindow() float64 {
 // ExecutedSeconds returns the end-to-end executed time of everything
 // accounted so far.
 func (r *Runner) ExecutedSeconds() float64 { return r.end() }
-
-// LastStepSeconds returns the executed cost of the most recent step.
-func (r *Runner) LastStepSeconds() float64 { return r.lastStep }
-
-// Steps returns the number of accounted steps.
-func (r *Runner) Steps() int { return r.steps }
-
-// Reset rewinds the runner's timeline.
-func (r *Runner) Reset() {
-	r.hostFree, r.devFree, r.windowStart, r.lastStep = 0, 0, 0, 0
-	r.steps = 0
-}

@@ -154,22 +154,6 @@ func Parallel(s *body.System, p Params, workers int) (interactions int64) {
 	return int64(n) * int64(n)
 }
 
-// PotentialAt returns the softened potential at body i due to all other
-// bodies, used by accuracy diagnostics.
-func PotentialAt(s *body.System, p Params, i int) float64 {
-	eps2 := float64(p.Eps) * float64(p.Eps)
-	pi := s.Pos[i].D3()
-	var pot float64
-	for j := 0; j < s.N(); j++ {
-		if j == i {
-			continue
-		}
-		d := s.Pos[j].D3().Sub(pi)
-		pot -= float64(s.Mass[j]) / math.Sqrt(d.Norm2()+eps2)
-	}
-	return float64(p.G) * pot
-}
-
 // MaxRelError returns the maximum relative acceleration error of got with
 // respect to want, using |want| + floor as the denominator so that
 // near-cancelling accelerations do not blow the metric up. Engines are

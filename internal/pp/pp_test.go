@@ -10,12 +10,21 @@ import (
 	"repro/internal/vec"
 )
 
+// system builds a System holding bs.
+func system(bs ...body.Body) *body.System {
+	s := body.NewSystem(len(bs))
+	for i, b := range bs {
+		s.SetBody(i, b)
+	}
+	return s
+}
+
 func TestTwoBodyAnalytic(t *testing.T) {
 	// Two unit masses at distance 2, no softening: |a| = G m / r^2 = 0.25.
-	s := body.FromBodies([]body.Body{
-		{Pos: vec.V3{X: -1}, Mass: 1},
-		{Pos: vec.V3{X: 1}, Mass: 1},
-	})
+	s := system(
+		body.Body{Pos: vec.V3{X: -1}, Mass: 1},
+		body.Body{Pos: vec.V3{X: 1}, Mass: 1},
+	)
 	Scalar(s, Params{G: 1, Eps: 0})
 	if math.Abs(float64(s.Acc[0].X)-0.25) > 1e-6 {
 		t.Errorf("a0.x = %g, want 0.25", s.Acc[0].X)
@@ -30,10 +39,10 @@ func TestTwoBodyAnalytic(t *testing.T) {
 
 func TestSofteningReducesForce(t *testing.T) {
 	mk := func(eps float32) float32 {
-		s := body.FromBodies([]body.Body{
-			{Pos: vec.V3{X: -0.5}, Mass: 1},
-			{Pos: vec.V3{X: 0.5}, Mass: 1},
-		})
+		s := system(
+			body.Body{Pos: vec.V3{X: -0.5}, Mass: 1},
+			body.Body{Pos: vec.V3{X: 0.5}, Mass: 1},
+		)
 		Scalar(s, Params{G: 1, Eps: eps})
 		return s.Acc[0].X
 	}
@@ -43,7 +52,7 @@ func TestSofteningReducesForce(t *testing.T) {
 }
 
 func TestSelfInteractionIsZero(t *testing.T) {
-	s := body.FromBodies([]body.Body{{Pos: vec.V3{X: 3, Y: -1, Z: 2}, Mass: 5}})
+	s := system(body.Body{Pos: vec.V3{X: 3, Y: -1, Z: 2}, Mass: 5})
 	Scalar(s, Params{G: 1, Eps: 0.05})
 	if s.Acc[0] != (vec.V3{}) {
 		t.Errorf("single body acceleration = %v, want zero", s.Acc[0])
@@ -136,18 +145,6 @@ func TestAccumulateIntoMassLinearity(t *testing.T) {
 	a2 := AccumulateInto(0, 0, 0, 1, 2, 3, 2, 0.01)
 	if math.Abs(float64(a2.X-2*a1.X)) > 1e-6 {
 		t.Errorf("force not linear in source mass: %v vs %v", a1, a2)
-	}
-}
-
-func TestPotentialAt(t *testing.T) {
-	s := body.FromBodies([]body.Body{
-		{Pos: vec.V3{X: 0}, Mass: 1},
-		{Pos: vec.V3{X: 2}, Mass: 3},
-	})
-	// phi at body 0: -G*3/sqrt(4+eps^2)
-	got := PotentialAt(s, Params{G: 2, Eps: 0}, 0)
-	if math.Abs(got-(-3)) > 1e-9 {
-		t.Errorf("PotentialAt = %g, want -3", got)
 	}
 }
 

@@ -72,24 +72,6 @@ func (r *Rand) Float64Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// Intn returns a uniform value in [0, n). It panics if n <= 0.
-func (r *Rand) Intn(n int) int {
-	if n <= 0 {
-		panic("rng: Intn with non-positive n")
-	}
-	// Lemire's multiply-shift rejection method, simplified: for the modest n
-	// used in workload generation the bias of a plain modulo is negligible,
-	// but rejection keeps the generator exactly uniform.
-	bound := uint64(n)
-	threshold := (-bound) % bound
-	for {
-		v := r.Uint64()
-		if v >= threshold {
-			return int(v % bound)
-		}
-	}
-}
-
 // NormFloat64 returns a standard normal (mean 0, stddev 1) value using the
 // Box-Muller transform.
 func (r *Rand) NormFloat64() float64 {
@@ -124,26 +106,5 @@ func (r *Rand) UnitSphere() (x, y, z float64) {
 		}
 		f := 2 * math.Sqrt(1-s)
 		return a * f, b * f, 1 - 2*s
-	}
-}
-
-// InBall returns a point uniformly distributed inside the unit ball.
-func (r *Rand) InBall() (x, y, z float64) {
-	for {
-		x = 2*r.Float64() - 1
-		y = 2*r.Float64() - 1
-		z = 2*r.Float64() - 1
-		if x*x+y*y+z*z <= 1 {
-			return x, y, z
-		}
-	}
-}
-
-// Shuffle permutes the order of n elements using the Fisher-Yates algorithm,
-// calling swap to exchange elements i and j.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }

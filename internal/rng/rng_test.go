@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -87,34 +86,6 @@ func TestUint64BitUniformity(t *testing.T) {
 	}
 }
 
-func TestIntn(t *testing.T) {
-	r := New(5)
-	counts := make([]int, 10)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := r.Intn(10)
-		if v < 0 || v >= 10 {
-			t.Fatalf("Intn(10) = %d", v)
-		}
-		counts[v]++
-	}
-	for v, c := range counts {
-		frac := float64(c) / n
-		if frac < 0.08 || frac > 0.12 {
-			t.Errorf("Intn value %d frequency %g, want ~0.1", v, frac)
-		}
-	}
-}
-
-func TestIntnPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Intn(0) did not panic")
-		}
-	}()
-	New(1).Intn(0)
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(11)
 	const n = 200000
@@ -151,64 +122,5 @@ func TestUnitSphereOnSurface(t *testing.T) {
 		if math.Abs(m/10000) > 0.02 {
 			t.Errorf("UnitSphere mean component %g, want ~0", m/10000)
 		}
-	}
-}
-
-func TestInBallInside(t *testing.T) {
-	r := New(17)
-	inner := 0
-	for i := 0; i < 10000; i++ {
-		x, y, z := r.InBall()
-		r2 := x*x + y*y + z*z
-		if r2 > 1 {
-			t.Fatalf("InBall point outside: r2=%g", r2)
-		}
-		if r2 < 0.5*0.5 {
-			inner++
-		}
-	}
-	// Volume fraction inside r=0.5 should be (0.5)^3 = 12.5%.
-	frac := float64(inner) / 10000
-	if frac < 0.10 || frac > 0.15 {
-		t.Errorf("InBall inner-half fraction %g, want ~0.125", frac)
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	f := func(seed uint64, size uint8) bool {
-		n := int(size%50) + 1
-		xs := make([]int, n)
-		for i := range xs {
-			xs[i] = i
-		}
-		New(seed).Shuffle(n, func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-		seen := make([]bool, n)
-		for _, v := range xs {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestShuffleMixes(t *testing.T) {
-	// Over many shuffles of [0..9], element 0 should land everywhere.
-	landed := make(map[int]bool)
-	for seed := uint64(0); seed < 200; seed++ {
-		xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-		New(seed).Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-		for pos, v := range xs {
-			if v == 0 {
-				landed[pos] = true
-			}
-		}
-	}
-	if len(landed) != 10 {
-		t.Errorf("element 0 landed in only %d/10 positions", len(landed))
 	}
 }

@@ -208,24 +208,6 @@ func snapshotJSON(sn sim.Snapshot) *SnapshotJSON {
 	}
 }
 
-// Snapshot converts the wire form back to a sim.Snapshot (round-trip
-// decoding, used by clients and the schema tests).
-func (s *SnapshotJSON) Snapshot() sim.Snapshot {
-	return sim.Snapshot{
-		Step:                  s.Step,
-		Time:                  s.Time,
-		Kinetic:               s.Kinetic,
-		Potential:             s.Potential,
-		Total:                 s.Total,
-		Momentum:              vec.D3{X: s.Momentum[0], Y: s.Momentum[1], Z: s.Momentum[2]},
-		VirialRatio:           s.VirialRatio,
-		Interactions:          s.Interactions,
-		WallSeconds:           s.WallSeconds,
-		EngineSeconds:         s.EngineSeconds,
-		EngineExecutedSeconds: s.EngineExecutedSeconds,
-	}
-}
-
 // SnapshotRecord is one line of the GET /v1/jobs/{id}/stream NDJSON stream:
 // either a snapshot (Snapshot non-nil) or the final record (Final true,
 // State terminal, Error set when the job failed). A job that retried on a

@@ -41,7 +41,7 @@ func TestJobPerfAttributionSumsToMakespan(t *testing.T) {
 		t.Run(tc.plan, func(t *testing.T) {
 			spec := quickJob(tc.n, tc.steps)
 			spec.Plan = tc.plan
-			st, err := svc.Submit(spec)
+			st, err := svc.SubmitTraced(spec, obs.TraceContext{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +188,7 @@ func sloBurnService(t *testing.T) (*Service, *obs.Obs, *obs.BundleStore) {
 func TestSLOBurnCapturesExactlyOneBundle(t *testing.T) {
 	svc, o, bundles := sloBurnService(t)
 
-	st, err := svc.Submit(quickJob(64, 5))
+	st, err := svc.SubmitTraced(quickJob(64, 5), obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestSLOBurnCapturesExactlyOneBundle(t *testing.T) {
 	// A second job also misses the SLO, but the alarm is already up (no rising
 	// edge): still exactly one bundle. TotalBad reaching 2 proves the second
 	// observation happened without a capture.
-	st2, err := svc.Submit(quickJob(64, 5))
+	st2, err := svc.SubmitTraced(quickJob(64, 5), obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestRetryAfterStableUnderSustained429s(t *testing.T) {
 // drain-forced-cancel strictly before its terminal finished event.
 func TestDrainForcedCancelFlightOrdering(t *testing.T) {
 	svc, _ := testService(t, 1, 2)
-	st, err := svc.Submit(quickJob(256, 100000))
+	st, err := svc.SubmitTraced(quickJob(256, 100000), obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestConcurrentJobsCompleteOnTwoEnginePool(t *testing.T) {
 	const jobs = 6
 	ids := make([]string, jobs)
 	for i := range ids {
-		st, err := svc.Submit(quickJob(64, 10))
+		st, err := svc.SubmitTraced(quickJob(64, 10), obs.TraceContext{})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -97,7 +97,7 @@ func TestQueueFullRejectsWithErrQueueFull(t *testing.T) {
 	long := quickJob(256, 2000)
 	var gotFull bool
 	for i := 0; i < 5 && !gotFull; i++ {
-		_, err := svc.Submit(long)
+		_, err := svc.SubmitTraced(long, obs.TraceContext{})
 		switch {
 		case err == nil:
 		case errors.Is(err, ErrQueueFull):
@@ -121,7 +121,7 @@ func TestQueueFullRejectsWithErrQueueFull(t *testing.T) {
 
 func TestCancelStopsRunningJobAndFreesEngine(t *testing.T) {
 	svc, _ := testService(t, 1, 4)
-	st, err := svc.Submit(quickJob(256, 100000))
+	st, err := svc.SubmitTraced(quickJob(256, 100000), obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestCancelStopsRunningJobAndFreesEngine(t *testing.T) {
 		t.Fatalf("state %s, want cancelled (error %q)", got.State, got.Error)
 	}
 	// The engine must be free again: a fresh job completes.
-	st2, err := svc.Submit(quickJob(64, 10))
+	st2, err := svc.SubmitTraced(quickJob(64, 10), obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +156,11 @@ func TestCancelStopsRunningJobAndFreesEngine(t *testing.T) {
 
 func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	svc, _ := testService(t, 1, 4)
-	blocker, err := svc.Submit(quickJob(256, 5000))
+	blocker, err := svc.SubmitTraced(quickJob(256, 5000), obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim, err := svc.Submit(quickJob(64, 10))
+	victim, err := svc.SubmitTraced(quickJob(64, 10), obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestJobDeadlineFailsJob(t *testing.T) {
 	svc, _ := testService(t, 1, 4)
 	spec := quickJob(256, 1000000)
 	spec.TimeoutMS = 50
-	st, err := svc.Submit(spec)
+	st, err := svc.SubmitTraced(spec, obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestEngineFailureQuarantinesAndRetries(t *testing.T) {
 	// guaranteed); that job must retry onto slot 1 and still complete.
 	sawRetry := false
 	for i := 0; i < 4 && !sawRetry; i++ {
-		st, err := svc.Submit(quickJob(64, 10))
+		st, err := svc.SubmitTraced(quickJob(64, 10), obs.TraceContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestEngineFailureQuarantinesAndRetries(t *testing.T) {
 		t.Fatalf("healthy slots %d, want 1 (slot 0 quarantined)", h)
 	}
 	// Quarantined slots take no further work.
-	st, err := svc.Submit(quickJob(64, 10))
+	st, err := svc.SubmitTraced(quickJob(64, 10), obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestAllEnginesQuarantinedFailsFast(t *testing.T) {
 	pool.buildEngine = func(sl *engineSlot, plan string, theta, eps float64) (sim.Engine, error) {
 		return faultyEngine{}, nil
 	}
-	st, err := svc.Submit(quickJob(64, 10))
+	st, err := svc.SubmitTraced(quickJob(64, 10), obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestAllEnginesQuarantinedFailsFast(t *testing.T) {
 		t.Fatalf("healthy %d, want 0", pool.Healthy())
 	}
 	// With the pool dead, the next job fails fast instead of hanging.
-	st2, err := svc.Submit(quickJob(64, 10))
+	st2, err := svc.SubmitTraced(quickJob(64, 10), obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestDrainFinishesInFlightAndRejectsNew(t *testing.T) {
 	svc, _ := testService(t, 2, 8)
 	ids := make([]string, 4)
 	for i := range ids {
-		st, err := svc.Submit(quickJob(64, 50))
+		st, err := svc.SubmitTraced(quickJob(64, 50), obs.TraceContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,14 +303,14 @@ func TestDrainFinishesInFlightAndRejectsNew(t *testing.T) {
 			t.Fatalf("job %s after drain: state %s, error %q", id, st.State, st.Error)
 		}
 	}
-	if _, err := svc.Submit(quickJob(64, 10)); !errors.Is(err, ErrDraining) {
+	if _, err := svc.SubmitTraced(quickJob(64, 10), obs.TraceContext{}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit while draining: got %v, want ErrDraining", err)
 	}
 }
 
 func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	svc, _ := testService(t, 1, 4)
-	st, err := svc.Submit(quickJob(256, 1000000))
+	st, err := svc.SubmitTraced(quickJob(256, 1000000), obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestStreamReplaysAndFollows(t *testing.T) {
 	svc, _ := testService(t, 1, 4)
 	spec := quickJob(64, 20)
 	spec.SnapshotEvery = 5
-	st, err := svc.Submit(spec)
+	st, err := svc.SubmitTraced(spec, obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,16 +389,16 @@ func TestStreamedTrajectoryMatchesDirectRun(t *testing.T) {
 	svc, _ := testService(t, 1, 4)
 	spec := quickJob(64, 20)
 	spec.SnapshotEvery = 5
-	st, err := svc.Submit(spec)
+	st, err := svc.SubmitTraced(spec, obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	var got []sim.Snapshot
+	var got []SnapshotJSON
 	if err := svc.Stream(ctx, st.ID, 0, func(rec SnapshotRecord) error {
 		if rec.Snapshot != nil {
-			got = append(got, rec.Snapshot.Snapshot())
+			got = append(got, *rec.Snapshot)
 		}
 		return nil
 	}); err != nil {

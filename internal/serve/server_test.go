@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/vec"
 )
@@ -380,7 +381,20 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &wire); err != nil {
 		t.Fatal(err)
 	}
-	if got := wire.Snapshot(); !reflect.DeepEqual(sn, got) {
+	got := sim.Snapshot{
+		Step:                  wire.Step,
+		Time:                  wire.Time,
+		Kinetic:               wire.Kinetic,
+		Potential:             wire.Potential,
+		Total:                 wire.Total,
+		Momentum:              vec.D3{X: wire.Momentum[0], Y: wire.Momentum[1], Z: wire.Momentum[2]},
+		VirialRatio:           wire.VirialRatio,
+		Interactions:          wire.Interactions,
+		WallSeconds:           wire.WallSeconds,
+		EngineSeconds:         wire.EngineSeconds,
+		EngineExecutedSeconds: wire.EngineExecutedSeconds,
+	}
+	if !reflect.DeepEqual(sn, got) {
 		t.Fatalf("round trip changed the snapshot:\n in %+v\nout %+v", sn, got)
 	}
 }
@@ -415,6 +429,8 @@ func TestJobSpecValidation(t *testing.T) {
 		{"over step limit", func(s *JobSpec) {}, Limits{MaxSteps: 5}},
 		{"too many devices", func(s *JobSpec) { s.Plan = "jw-parallel-x9223372036854775807" },
 			Limits{MaxBodies: 64, MaxSteps: 10}},
+		{"device count with leading zero", func(s *JobSpec) { s.Plan = "jw-parallel-x02" },
+			Limits{MaxBodies: 64, MaxSteps: 10}},
 	}
 	for _, tc := range cases {
 		spec := base
@@ -447,7 +463,7 @@ func TestUploadedBodiesJob(t *testing.T) {
 		Steps:         5,
 		DT:            0.01,
 	}
-	st, err := svc.Submit(spec)
+	st, err := svc.SubmitTraced(spec, obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +482,7 @@ func TestWatchdogViolationFailsWithoutRetry(t *testing.T) {
 	spec.SnapshotEvery = 1
 	spec.DT = 10 // absurd step: energy explodes immediately
 	spec.Tolerances = &ToleranceSpec{Energy: 1e-6}
-	st, err := svc.Submit(spec)
+	st, err := svc.SubmitTraced(spec, obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}

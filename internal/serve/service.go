@@ -275,18 +275,12 @@ func NewService(cfg ServiceConfig, pool *Pool) *Service {
 	return s
 }
 
-// Submit validates and enqueues a job under a freshly minted trace. It never
-// blocks: a full queue returns ErrQueueFull immediately (the admission-
-// control contract).
-func (s *Service) Submit(spec JobSpec) (JobStatus, error) {
-	return s.SubmitTraced(spec, obs.TraceContext{})
-}
-
-// SubmitTraced is Submit with an inbound trace position (parsed from a
-// traceparent header by the HTTP layer): the job joins the caller's trace
-// instead of minting its own, and the job span records parent.SpanID as its
-// parent. An invalid parent mints a fresh trace, so callers can pass the
-// zero value unconditionally.
+// SubmitTraced validates and enqueues a job. It never blocks: a full queue
+// returns ErrQueueFull immediately (the admission-control contract). parent
+// is the inbound trace position (parsed from a traceparent header by the
+// HTTP layer): the job joins the caller's trace instead of minting its own,
+// and the job span records parent.SpanID as its parent. An invalid parent
+// mints a fresh trace, so callers can pass the zero value unconditionally.
 func (s *Service) SubmitTraced(spec JobSpec, parent obs.TraceContext) (JobStatus, error) {
 	if err := spec.Validate(s.cfg.Limits); err != nil {
 		return JobStatus{}, fmt.Errorf("%w: %v", ErrBadSpec, err)

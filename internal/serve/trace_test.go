@@ -129,14 +129,14 @@ func (s *Service) mustJob(t *testing.T, id string) *job {
 
 func TestSubmitMintsFreshTraceWithoutParent(t *testing.T) {
 	svc, _ := testService(t, 1, 4)
-	st, err := svc.Submit(quickJob(64, 5))
+	st, err := svc.SubmitTraced(quickJob(64, 5), obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(st.TraceID) != 32 {
 		t.Fatalf("minted trace id %q, want 32 hex chars", st.TraceID)
 	}
-	st2, err := svc.Submit(quickJob(64, 5))
+	st2, err := svc.SubmitTraced(quickJob(64, 5), obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestFlightRecorderSurvivesEngineFaultFailure(t *testing.T) {
 	pool.buildEngine = func(sl *engineSlot, plan string, theta, eps float64) (sim.Engine, error) {
 		return faultyEngine{}, nil
 	}
-	st, err := svc.Submit(quickJob(64, 10))
+	st, err := svc.SubmitTraced(quickJob(64, 10), obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestFlightRecordsRetryAcrossEngines(t *testing.T) {
 	}
 	// Run until a job lands on the faulty slot first and retries through.
 	for i := 0; i < 4; i++ {
-		st, err := svc.Submit(quickJob(64, 10))
+		st, err := svc.SubmitTraced(quickJob(64, 10), obs.TraceContext{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -107,13 +107,6 @@ func (c EngineCaps) Accel(ctx context.Context, eng Engine, s *body.System) (int6
 	return eng.Accel(s)
 }
 
-// Observe forwards a telemetry bundle when the engine accepts one.
-func (c EngineCaps) Observe(o *obs.Obs) {
-	if c.Observable != nil {
-		c.Observable.SetObs(o)
-	}
-}
-
 // String lists the implemented capabilities ("timed,batch,context,executed,
 // observable,hostbuild,hostworkers" for core.Engine; "" for a bare Engine) —
 // used by reports and the job service's status output.

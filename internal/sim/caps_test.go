@@ -11,7 +11,6 @@ import (
 	"repro/internal/gpusim"
 	"repro/internal/ic"
 	"repro/internal/integrate"
-	"repro/internal/obs"
 	"repro/internal/pp"
 )
 
@@ -76,8 +75,6 @@ func TestCapsPartialImplementations(t *testing.T) {
 		if c.String() != tc.caps {
 			t.Errorf("%s: String() = %q, want %q", tc.name, c, tc.caps)
 		}
-		// Observe must be a no-op, not a panic, for partial implementations.
-		c.Observe(obs.New())
 	}
 }
 

@@ -284,7 +284,7 @@ func TestRunWatchdogHaltsBrokenRun(t *testing.T) {
 
 func TestRunWatchdogPassesHealthyRun(t *testing.T) {
 	s := ic.Plummer(64, 6)
-	w := &perf.Watchdog{Tol: perf.DefaultTolerances()}
+	w := &perf.Watchdog{Tol: perf.Tolerances{MaxEnergyDrift: 1e-2, MaxMomentumDrift: 1e-3}}
 	if _, err := Run(s, &DirectEngine{Params: pp.DefaultParams()}, &integrate.Leapfrog{}, Config{
 		DT: 0.01, Steps: 10, SnapshotEvery: 5, G: 1, Eps: 0.05, Watchdog: w,
 	}); err != nil {

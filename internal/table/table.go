@@ -33,20 +33,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddRowf appends a row of formatted cells; each argument is rendered with
-// %v unless it is already a string.
-func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		if s, ok := c.(string); ok {
-			row = append(row, s)
-		} else {
-			row = append(row, fmt.Sprint(c))
-		}
-	}
-	t.AddRow(row...)
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Headers))

@@ -45,14 +45,6 @@ func TestAddRowPadding(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	tb := New("", "x", "y")
-	tb.AddRowf(42, "hi")
-	if tb.Rows[0][0] != "42" || tb.Rows[0][1] != "hi" {
-		t.Errorf("AddRowf row: %v", tb.Rows[0])
-	}
-}
-
 func TestSeconds(t *testing.T) {
 	cases := []struct {
 		in   float64

@@ -34,9 +34,6 @@ func (v V3) Norm2() float32 { return v.Dot(v) }
 // Norm returns |v|.
 func (v V3) Norm() float32 { return float32(math.Sqrt(float64(v.Norm2()))) }
 
-// Neg returns -v.
-func (v V3) Neg() V3 { return V3{-v.X, -v.Y, -v.Z} }
-
 // D3 widens v to double precision.
 func (v V3) D3() D3 { return D3{float64(v.X), float64(v.Y), float64(v.Z)} }
 
@@ -102,13 +99,6 @@ func (b AABB) Union(c AABB) AABB {
 	}
 }
 
-// Contains reports whether p lies inside the closed box.
-func (b AABB) Contains(p V3) bool {
-	return p.X >= b.Min.X && p.X <= b.Max.X &&
-		p.Y >= b.Min.Y && p.Y <= b.Max.Y &&
-		p.Z >= b.Min.Z && p.Z <= b.Max.Z
-}
-
 // Center returns the box centre. It is undefined for an empty box.
 func (b AABB) Center() V3 {
 	return V3{(b.Min.X + b.Max.X) / 2, (b.Min.Y + b.Max.Y) / 2, (b.Min.Z + b.Max.Z) / 2}
@@ -124,11 +114,6 @@ func (b AABB) Size() V3 {
 func (b AABB) MaxExtent() float32 {
 	s := b.Size()
 	return max32(s.X, max32(s.Y, s.Z))
-}
-
-// IsEmpty reports whether the box contains no points.
-func (b AABB) IsEmpty() bool {
-	return b.Min.X > b.Max.X || b.Min.Y > b.Max.Y || b.Min.Z > b.Max.Z
 }
 
 // Dist2 returns the squared distance from p to the closest point of the box

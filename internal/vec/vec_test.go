@@ -33,7 +33,7 @@ func TestV3Algebra(t *testing.T) {
 
 	scale := func(ax, ay, az int16) bool {
 		a := v3Gen(ax, ay, az)
-		return a.Scale(2) == a.Add(a) && a.Scale(-1) == a.Neg() && a.Scale(0) == (V3{})
+		return a.Scale(2) == a.Add(a) && a.Scale(-1) == (V3{-a.X, -a.Y, -a.Z}) && a.Scale(0) == (V3{})
 	}
 	if err := quick.Check(scale, nil); err != nil {
 		t.Error(err)
@@ -93,17 +93,17 @@ func TestD3Norm(t *testing.T) {
 
 func TestEmptyAABB(t *testing.T) {
 	e := Empty()
-	if !e.IsEmpty() {
+	if !(e.Min.X > e.Max.X && e.Min.Y > e.Max.Y && e.Min.Z > e.Max.Z) {
 		t.Fatal("Empty() not empty")
 	}
-	if e.Contains(V3{}) {
+	if e.Dist2(V3{}) == 0 {
 		t.Error("empty box contains origin")
 	}
 	// Extending the empty box with one point gives the degenerate box at
 	// that point.
 	p := V3{1, 2, 3}
 	b := e.Extend(p)
-	if b.IsEmpty() || !b.Contains(p) || b.Min != p || b.Max != p {
+	if b.Min != p || b.Max != p {
 		t.Errorf("Extend(empty, p) = %+v", b)
 	}
 }
@@ -120,9 +120,6 @@ func TestAABBExtendContains(t *testing.T) {
 			b = b.Extend(vs[i])
 		}
 		for _, v := range vs {
-			if !b.Contains(v) {
-				return false
-			}
 			if b.Dist2(v) != 0 {
 				return false
 			}
