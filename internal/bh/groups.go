@@ -112,7 +112,8 @@ func (ws *WalkSet) Eval() Stats {
 			var acc vec.V3
 			for _, ni := range w.NodeList {
 				nd := &t.Nodes[ni]
-				acc = acc.Add(pp.AccumulateInto(p.X, p.Y, p.Z, nd.COM.X, nd.COM.Y, nd.COM.Z, nd.Mass, eps2))
+				x, y, z := pp.AccumulateInto(p.X, p.Y, p.Z, nd.COM.X, nd.COM.Y, nd.COM.Z, nd.Mass, eps2)
+				acc.X, acc.Y, acc.Z = acc.X+x, acc.Y+y, acc.Z+z
 			}
 			for _, bj := range w.DirectList {
 				q := t.sys.Pos[bj]
@@ -120,7 +121,8 @@ func (ws *WalkSet) Eval() Stats {
 				// thanks to the softened kernel, so it is summed like any
 				// other entry — the same branch-free convention the GPU
 				// kernels use.
-				acc = acc.Add(pp.AccumulateInto(p.X, p.Y, p.Z, q.X, q.Y, q.Z, t.sys.Mass[bj], eps2))
+				x, y, z := pp.AccumulateInto(p.X, p.Y, p.Z, q.X, q.Y, q.Z, t.sys.Mass[bj], eps2)
+				acc.X, acc.Y, acc.Z = acc.X+x, acc.Y+y, acc.Z+z
 			}
 			t.sys.Acc[bi] = acc.Scale(t.Opt.G)
 		}

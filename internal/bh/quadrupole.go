@@ -151,7 +151,8 @@ func (t *Tree) AccelQuadAt(bi int32) (vec.V3, Stats) {
 					continue
 				}
 				q := t.sys.Pos[bj]
-				acc = acc.Add(pp.AccumulateInto(p.X, p.Y, p.Z, q.X, q.Y, q.Z, t.sys.Mass[bj], eps2))
+				x, y, z := pp.AccumulateInto(p.X, p.Y, p.Z, q.X, q.Y, q.Z, t.sys.Mass[bj], eps2)
+				acc.X, acc.Y, acc.Z = acc.X+x, acc.Y+y, acc.Z+z
 				st.Interactions++
 			}
 			continue

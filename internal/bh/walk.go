@@ -46,7 +46,8 @@ func (t *Tree) AccelAt(bi int32) (vec.V3, Stats) {
 		stack = stack[:len(stack)-1]
 		nd := &t.Nodes[ni]
 		if !nd.Leaf && t.accept(nd, p) {
-			acc = acc.Add(pp.AccumulateInto(p.X, p.Y, p.Z, nd.COM.X, nd.COM.Y, nd.COM.Z, nd.Mass, eps2))
+			x, y, z := pp.AccumulateInto(p.X, p.Y, p.Z, nd.COM.X, nd.COM.Y, nd.COM.Z, nd.Mass, eps2)
+			acc.X, acc.Y, acc.Z = acc.X+x, acc.Y+y, acc.Z+z
 			st.Interactions++
 			continue
 		}
@@ -56,7 +57,8 @@ func (t *Tree) AccelAt(bi int32) (vec.V3, Stats) {
 					continue
 				}
 				q := t.sys.Pos[bj]
-				acc = acc.Add(pp.AccumulateInto(p.X, p.Y, p.Z, q.X, q.Y, q.Z, t.sys.Mass[bj], eps2))
+				x, y, z := pp.AccumulateInto(p.X, p.Y, p.Z, q.X, q.Y, q.Z, t.sys.Mass[bj], eps2)
+				acc.X, acc.Y, acc.Z = acc.X+x, acc.Y+y, acc.Z+z
 				st.Interactions++
 			}
 			continue

@@ -91,12 +91,7 @@ func (p *IParallel) kernel() gpusim.KernelFunc {
 			wi.ChargeLDS(16 * ls)
 			wi.Flops(pp.FlopsPerInteraction * ls)
 			wi.Aux(2 * ls) // loop control and LDS address arithmetic
-			for k := 0; k < ls; k++ {
-				a := pp.AccumulateInto(px, py, pz, lds[4*k], lds[4*k+1], lds[4*k+2], lds[4*k+3], eps2)
-				ax += a.X
-				ay += a.Y
-				az += a.Z
-			}
+			ax, ay, az = pp.AccumulateTile(px, py, pz, ax, ay, az, lds[:4*ls], eps2)
 			wi.Barrier()
 		}
 

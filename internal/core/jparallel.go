@@ -89,10 +89,8 @@ func (p *JParallel) kernel() gpusim.KernelFunc {
 		wi.Aux(2 * tiles)
 		for t := 0; t < tiles; t++ {
 			j := t*ls + l
-			a := pp.AccumulateInto(px, py, pz, src[4*j], src[4*j+1], src[4*j+2], src[4*j+3], eps2)
-			ax += a.X
-			ay += a.Y
-			az += a.Z
+			x, y, z := pp.AccumulateInto(px, py, pz, src[4*j], src[4*j+1], src[4*j+2], src[4*j+3], eps2)
+			ax, ay, az = ax+x, ay+y, az+z
 		}
 
 		// Tree reduction of the p partial sums through local memory.

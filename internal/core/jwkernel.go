@@ -80,16 +80,7 @@ func jwKernel(b jwBuffers, g, eps2 float32, staged bool) gpusim.KernelFunc {
 						wi.ChargeLDS(16 * kmax)
 						wi.Flops(pp.FlopsPerInteraction * kmax)
 						wi.Aux(2 * kmax)
-						bx, by, bz := px[l], py[l], pz[l]
-						x, y, z := ax[l], ay[l], az[l]
-						for k := 0; k < len(tile); k += 4 {
-							s := tile[k : k+4 : k+4]
-							a := pp.AccumulateInto(bx, by, bz, s[0], s[1], s[2], s[3], eps2)
-							x += a.X
-							y += a.Y
-							z += a.Z
-						}
-						ax[l], ay[l], az[l] = x, y, z
+						ax[l], ay[l], az[l] = pp.AccumulateTile(px[l], py[l], pz[l], ax[l], ay[l], az[l], tile, eps2)
 					}
 					grp.Barrier()
 				}
@@ -103,11 +94,9 @@ func jwKernel(b jwBuffers, g, eps2 float32, staged bool) gpusim.KernelFunc {
 					var x, y, z float32
 					for e := 0; e < llen; e++ {
 						idx := lists[base+e]
-						a := pp.AccumulateInto(px[l], py[l], pz[l],
+						fx, fy, fz := pp.AccumulateInto(px[l], py[l], pz[l],
 							src[4*idx], src[4*idx+1], src[4*idx+2], src[4*idx+3], eps2)
-						x += a.X
-						y += a.Y
-						z += a.Z
+						x, y, z = x+fx, y+fy, z+fz
 					}
 					ax[l], ay[l], az[l] = x, y, z
 				}

@@ -97,11 +97,9 @@ func (p *WParallel) kernel() gpusim.KernelFunc {
 		var ax, ay, az float32
 		for e := 0; e < llen; e++ {
 			idx := lists[base+e]
-			a := pp.AccumulateInto(px, py, pz,
+			x, y, z := pp.AccumulateInto(px, py, pz,
 				src[4*idx], src[4*idx+1], src[4*idx+2], src[4*idx+3], eps2)
-			ax += a.X
-			ay += a.Y
-			az += a.Z
+			ax, ay, az = ax+x, ay+y, az+z
 		}
 
 		wi.ChargeGlobal(16, 0)

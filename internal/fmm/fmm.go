@@ -207,7 +207,8 @@ func (e *evaluator) directSelf(a *bh.Node) {
 		for y := x + 1; y < len(idx); y++ {
 			bj := idx[y]
 			q := e.sys.Pos[bj]
-			k := pp.AccumulateInto(p.X, p.Y, p.Z, q.X, q.Y, q.Z, 1, e.eps2)
+			var k vec.V3
+			k.X, k.Y, k.Z = pp.AccumulateInto(p.X, p.Y, p.Z, q.X, q.Y, q.Z, 1, e.eps2)
 			e.sys.Acc[bi] = e.sys.Acc[bi].Add(k.Scale(e.sys.Mass[bj]))
 			e.sys.Acc[bj] = e.sys.Acc[bj].Sub(k.Scale(e.sys.Mass[bi]))
 			e.stats.DirectPairs++
@@ -223,7 +224,8 @@ func (e *evaluator) directPair(a, b *bh.Node) {
 		p := e.sys.Pos[bi]
 		for _, bj := range idxB {
 			q := e.sys.Pos[bj]
-			k := pp.AccumulateInto(p.X, p.Y, p.Z, q.X, q.Y, q.Z, 1, e.eps2)
+			var k vec.V3
+			k.X, k.Y, k.Z = pp.AccumulateInto(p.X, p.Y, p.Z, q.X, q.Y, q.Z, 1, e.eps2)
 			e.sys.Acc[bi] = e.sys.Acc[bi].Add(k.Scale(e.sys.Mass[bj]))
 			e.sys.Acc[bj] = e.sys.Acc[bj].Sub(k.Scale(e.sys.Mass[bi]))
 			e.stats.DirectPairs++

@@ -10,6 +10,10 @@
 // goroutines. All variants compute identical interactions and account the
 // conventional 38 floating-point operations per interaction used by the GPU
 // N-body literature when reporting GFLOPS.
+//
+// Every engine, CPU or emulated GPU, computes an interaction through one
+// inlinable body, AccumulateInto. Kernels that consume a staged tile of
+// sources call its leaf loop, AccumulateTile, instead of looping themselves.
 package pp
 
 import (
@@ -37,24 +41,37 @@ type Params struct {
 // G = 1 (model units) and a softening of 0.05 scale radii.
 func DefaultParams() Params { return Params{G: 1, Eps: 0.05} }
 
-// AccumulateInto adds the softened acceleration exerted by a source at
-// position (sx,sy,sz) with mass sm onto the body at (px,py,pz). It is the
-// single shared inner kernel so that every engine computes bit-comparable
-// interactions.
-func AccumulateInto(px, py, pz, sx, sy, sz, sm, eps2 float32) vec.V3 {
-	dx := sx - px
-	dy := sy - py
-	dz := sz - pz
+// AccumulateInto returns the softened acceleration exerted by a source at
+// position (sx,sy,sz) with mass sm on the body at (px,py,pz). It is the one
+// interaction body every engine calls, so all of them compute bit-comparable
+// interactions, and it stays within the compiler's inline budget so that
+// callers pay for no call.
+func AccumulateInto(px, py, pz, sx, sy, sz, sm, eps2 float32) (ax, ay, az float32) {
+	dx, dy, dz := sx-px, sy-py, sz-pz
 	r2 := dx*dx + dy*dy + dz*dz + eps2
-	if r2 == 0 {
-		// Coincident bodies with zero softening: define the force as zero
-		// rather than NaN, so unsoftened configurations stay finite. With
-		// any eps > 0 this branch never triggers.
-		return vec.V3{}
+	if r2 != 0 { // coincident bodies with zero softening: zero force, not NaN
+		inv := 1 / float32(math.Sqrt(float64(r2)))
+		inv3 := inv * inv * inv * sm
+		ax, ay, az = dx*inv3, dy*inv3, dz*inv3
 	}
-	inv := 1 / float32(math.Sqrt(float64(r2)))
-	inv3 := inv * inv * inv * sm
-	return vec.V3{X: dx * inv3, Y: dy * inv3, Z: dz * inv3}
+	return
+}
+
+// AccumulateTile adds the interactions of a contiguous tile of x,y,z,m
+// sources, in order, onto the running sum (ax,ay,az) of the body at
+// (px,py,pz) and returns the new sum. It is the per-lane tile loop of the
+// kernels that stage sources through local memory. As a top-level leaf it
+// compiles to a loop with AccumulateInto inlined, which a kernel closure
+// calling AccumulateInto per source does not get.
+func AccumulateTile(px, py, pz, ax, ay, az float32, tile []float32, eps2 float32) (float32, float32, float32) {
+	for len(tile) >= 4 {
+		x, y, z := AccumulateInto(px, py, pz, tile[0], tile[1], tile[2], tile[3], eps2)
+		ax += x
+		ay += y
+		az += z
+		tile = tile[4:]
+	}
+	return ax, ay, az
 }
 
 // Scalar computes accelerations for every body with the straightforward
@@ -70,7 +87,8 @@ func Scalar(s *body.System, p Params) (interactions int64) {
 		var acc vec.V3
 		for j := 0; j < n; j++ {
 			pj := s.Pos[j]
-			acc = acc.Add(AccumulateInto(pi.X, pi.Y, pi.Z, pj.X, pj.Y, pj.Z, s.Mass[j], eps2))
+			x, y, z := AccumulateInto(pi.X, pi.Y, pi.Z, pj.X, pj.Y, pj.Z, s.Mass[j], eps2)
+			acc.X, acc.Y, acc.Z = acc.X+x, acc.Y+y, acc.Z+z
 		}
 		s.Acc[i] = acc.Scale(p.G)
 	}
@@ -79,8 +97,8 @@ func Scalar(s *body.System, p Params) (interactions int64) {
 
 // Tiled computes the same accelerations with the j-loop blocked into tiles
 // of the given size, improving cache locality for large N. A tile size of 0
-// selects a default of 256 bodies (32 KiB of position data, matching the
-// local-memory tile the GPU plans stage).
+// selects a default of 256 bodies (4 KiB of position and mass data, the size
+// of the local-memory tile the i-parallel plan stages).
 func Tiled(s *body.System, p Params, tile int) (interactions int64) {
 	if tile <= 0 {
 		tile = 256
@@ -98,7 +116,8 @@ func Tiled(s *body.System, p Params, tile int) (interactions int64) {
 			acc := s.Acc[i]
 			for j := j0; j < j1; j++ {
 				pj := s.Pos[j]
-				acc = acc.Add(AccumulateInto(pi.X, pi.Y, pi.Z, pj.X, pj.Y, pj.Z, s.Mass[j], eps2))
+				x, y, z := AccumulateInto(pi.X, pi.Y, pi.Z, pj.X, pj.Y, pj.Z, s.Mass[j], eps2)
+				acc.X, acc.Y, acc.Z = acc.X+x, acc.Y+y, acc.Z+z
 			}
 			s.Acc[i] = acc
 		}
@@ -144,7 +163,8 @@ func Parallel(s *body.System, p Params, workers int) (interactions int64) {
 				var acc vec.V3
 				for j := 0; j < n; j++ {
 					pj := s.Pos[j]
-					acc = acc.Add(AccumulateInto(pi.X, pi.Y, pi.Z, pj.X, pj.Y, pj.Z, s.Mass[j], eps2))
+					x, y, z := AccumulateInto(pi.X, pi.Y, pi.Z, pj.X, pj.Y, pj.Z, s.Mass[j], eps2)
+					acc.X, acc.Y, acc.Z = acc.X+x, acc.Y+y, acc.Z+z
 				}
 				s.Acc[i] = acc.Scale(p.G)
 			}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/body"
 	"repro/internal/ic"
+	"repro/internal/rng"
 	"repro/internal/vec"
 )
 
@@ -78,6 +79,8 @@ func TestNewtonThirdLaw(t *testing.T) {
 	}
 }
 
+// TestVariantsAgree requires every variant to equal Scalar bit for bit: each
+// body's sum runs over the sources in the same order.
 func TestVariantsAgree(t *testing.T) {
 	params := DefaultParams()
 	for _, n := range []int{1, 2, 17, 64, 100, 257} {
@@ -94,8 +97,11 @@ func TestVariantsAgree(t *testing.T) {
 			if inter != int64(n)*int64(n) {
 				t.Errorf("n=%d %s: interactions = %d", n, name, inter)
 			}
-			if e := MaxRelError(ref.Acc, s.Acc, 1e-4); e > 1e-4 {
-				t.Errorf("n=%d %s: max rel error %g", n, name, e)
+			for i := range ref.Acc {
+				if s.Acc[i] != ref.Acc[i] {
+					t.Errorf("n=%d %s: body %d: %v, Scalar %v", n, name, i, s.Acc[i], ref.Acc[i])
+					break
+				}
 			}
 		}
 	}
@@ -122,7 +128,8 @@ func TestAccumulateIntoProperties(t *testing.T) {
 		p := vec.V3{X: float32(px) / 100, Y: float32(py) / 100, Z: float32(pz) / 100}
 		q := vec.V3{X: float32(sx) / 100, Y: float32(sy) / 100, Z: float32(sz) / 100}
 		mass := float32(m)/64 + 0.1
-		a := AccumulateInto(p.X, p.Y, p.Z, q.X, q.Y, q.Z, mass, 0.01)
+		var a vec.V3
+		a.X, a.Y, a.Z = AccumulateInto(p.X, p.Y, p.Z, q.X, q.Y, q.Z, mass, 0.01)
 		d := q.Sub(p)
 		// a must be parallel to d with a non-negative coefficient.
 		cross := vec.V3{
@@ -141,10 +148,49 @@ func TestAccumulateIntoProperties(t *testing.T) {
 }
 
 func TestAccumulateIntoMassLinearity(t *testing.T) {
-	a1 := AccumulateInto(0, 0, 0, 1, 2, 3, 1, 0.01)
-	a2 := AccumulateInto(0, 0, 0, 1, 2, 3, 2, 0.01)
-	if math.Abs(float64(a2.X-2*a1.X)) > 1e-6 {
-		t.Errorf("force not linear in source mass: %v vs %v", a1, a2)
+	x1, y1, z1 := AccumulateInto(0, 0, 0, 1, 2, 3, 1, 0.01)
+	x2, y2, z2 := AccumulateInto(0, 0, 0, 1, 2, 3, 2, 0.01)
+	if math.Abs(float64(x2-2*x1)) > 1e-6 {
+		t.Errorf("force not linear in source mass: (%g,%g,%g) vs (%g,%g,%g)", x1, y1, z1, x2, y2, z2)
+	}
+}
+
+// TestAccumulateTileMatchesOneByOne requires the tile loop to equal
+// AccumulateInto called one source at a time, in tile order, bit for bit,
+// and a coincident unsoftened source to contribute exactly +0.
+func TestAccumulateTileMatchesOneByOne(t *testing.T) {
+	r := rng.New(1)
+	coord := func() float32 { return float32(r.NormFloat64()) }
+	for trial := 0; trial < 200; trial++ {
+		k := int(r.Uint64() % 301)
+		tile := make([]float32, 4*k)
+		for i := 0; i < k; i++ {
+			tile[4*i], tile[4*i+1], tile[4*i+2], tile[4*i+3] = coord(), coord(), coord(), float32(r.Float64())
+		}
+		px, py, pz := coord(), coord(), coord()
+		ax0, ay0, az0 := coord(), coord(), coord()
+		eps2 := float32(r.Float64() * 0.01)
+
+		wx, wy, wz := ax0, ay0, az0
+		for i := 0; i < k; i++ {
+			x, y, z := AccumulateInto(px, py, pz, tile[4*i], tile[4*i+1], tile[4*i+2], tile[4*i+3], eps2)
+			wx, wy, wz = wx+x, wy+y, wz+z
+		}
+		gx, gy, gz := AccumulateTile(px, py, pz, ax0, ay0, az0, tile, eps2)
+		if math.Float32bits(gx) != math.Float32bits(wx) || math.Float32bits(gy) != math.Float32bits(wy) ||
+			math.Float32bits(gz) != math.Float32bits(wz) {
+			t.Fatalf("trial %d, %d sources: tile (%g,%g,%g), one by one (%g,%g,%g)", trial, k, gx, gy, gz, wx, wy, wz)
+		}
+	}
+
+	x, y, z := AccumulateInto(1, -2, 3, 1, -2, 3, 5, 0)
+	for _, c := range []float32{x, y, z} {
+		if c != 0 || math.Signbit(float64(c)) {
+			t.Fatalf("coincident source with eps2 = 0 contributes (%g,%g,%g), want +0", x, y, z)
+		}
+	}
+	if x, y, z := AccumulateTile(1, -2, 3, 0.5, 0.25, -1, []float32{1, -2, 3, 5}, 0); x != 0.5 || y != 0.25 || z != -1 {
+		t.Fatalf("tile of one coincident source moved the sum to (%g,%g,%g)", x, y, z)
 	}
 }
 
