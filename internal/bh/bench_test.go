@@ -58,10 +58,11 @@ func BenchmarkBuildWalks(b *testing.B) {
 	}
 }
 
-// BenchmarkBuilderStep measures the full pooled host step — Morton build
-// plus walk construction — with allocation reporting: the serial variant is
-// the allocation-free steady state the CI gate pins at 0 allocs/op, the
-// parallel variant is the wall-clock path the speedup gate compares.
+// BenchmarkBuilderStep measures the full pooled host step — tree build plus
+// walk construction — with allocation reporting: the serial variant is the
+// allocation-free steady state the CI gate pins at 0 allocs/op, the parallel
+// variant (walks built on every CPU) is the wall-clock path the speedup gate
+// compares.
 func BenchmarkBuilderStep(b *testing.B) {
 	for _, n := range []int{1024, 8192, 32768} {
 		for _, bc := range []struct {
@@ -91,8 +92,10 @@ func BenchmarkBuilderStep(b *testing.B) {
 	}
 }
 
-// BenchmarkBuilderBuild isolates the Morton tree build (no walks) for
-// comparison against BenchmarkBuild's allocating recursive path.
+// BenchmarkBuilderBuild isolates the tree build (no walks) on a warm
+// builder, which allocates nothing; BenchmarkBuild runs the same partition
+// through a fresh builder per call, so the gap between them is the cost of
+// cold arenas.
 func BenchmarkBuilderBuild(b *testing.B) {
 	for _, n := range []int{1024, 8192, 65536} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {

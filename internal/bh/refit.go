@@ -23,7 +23,8 @@ import (
 func (t *Tree) Refit() {
 	sp := t.Opt.Trace.Start("tree refit", "host").Track("bh").Arg("nodes", len(t.Nodes))
 	defer sp.End()
-	// The build's own bottom-up summary pass, rerun over the kept topology.
+	// BuildInto ends with this same summary pass, so refitting unmoved
+	// bodies reproduces the built summaries bit for bit.
 	t.summarize(0)
 	if t.quads != nil {
 		t.computeQuad(0)

@@ -48,11 +48,12 @@ func N(fs *flag.FlagSet, def int) *int {
 }
 
 // HostWorkers registers the shared -host-workers flag: the goroutine cap of
-// the host-side build pipeline (tree + walk construction). 0 uses GOMAXPROCS;
-// 1 forces the serial (allocation-free steady-state) path.
+// the host-side walk construction of the w- and jw-parallel plans; the tree
+// build is always serial. 0 uses GOMAXPROCS; 1 forces the serial
+// (allocation-free steady-state) path.
 func HostWorkers(fs *flag.FlagSet) *int {
 	return fs.Int("host-workers", 0,
-		"host-side build goroutines (0 = GOMAXPROCS, 1 = serial)")
+		"host-side walk-construction goroutines of the tree plans (0 = GOMAXPROCS, 1 = serial)")
 }
 
 // Device is the -device flag: a modelled-device name validated at parse

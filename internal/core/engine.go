@@ -194,8 +194,8 @@ func (e *Engine) AccelJerk(ctx context.Context, s *body.System, active []int, je
 // the measured wall-clock host-build time accumulated over the run.
 func (e *Engine) HostBuildTotalSeconds() float64 { return e.HostBuildSeconds }
 
-// hostWorkersPlan is implemented by plans whose host-side build parallelism
-// can be capped (the BH plans).
+// hostWorkersPlan is implemented by plans whose walk construction can be
+// capped (the BH plans).
 type hostWorkersPlan interface {
 	SetHostWorkers(n int)
 }

@@ -67,8 +67,8 @@ func (p *JWParallel) SetObs(o *obs.Obs) {
 // Kind implements Plan.
 func (p *JWParallel) Kind() Kind { return KindBH }
 
-// SetHostWorkers caps the host-side build parallelism (0 = GOMAXPROCS, 1 =
-// serial).
+// SetHostWorkers caps the goroutines that build the walks' interaction
+// lists (0 = GOMAXPROCS, 1 = serial); the tree build is always serial.
 func (p *JWParallel) SetHostWorkers(n int) { p.data.builder.Workers = n }
 
 // Accel implements Plan.

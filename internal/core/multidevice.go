@@ -55,8 +55,8 @@ func (p *MultiJW) Name() string { return fmt.Sprintf("jw-parallel x%d", p.Device
 // Kind implements Plan.
 func (p *MultiJW) Kind() Kind { return KindBH }
 
-// SetHostWorkers caps the host-side build parallelism (0 = GOMAXPROCS, 1 =
-// serial).
+// SetHostWorkers caps the goroutines that build the walks' interaction
+// lists (0 = GOMAXPROCS, 1 = serial); the tree build is always serial.
 func (p *MultiJW) SetHostWorkers(n int) { p.data.builder.Workers = n }
 
 // SetObs implements obs.Observable. Every device queue reports its commands

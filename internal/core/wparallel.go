@@ -55,8 +55,8 @@ func (p *WParallel) SetObs(o *obs.Obs) {
 	p.Opt.Trace = o.Tracer()
 }
 
-// SetHostWorkers caps the host-side build parallelism (0 = GOMAXPROCS, 1 =
-// serial).
+// SetHostWorkers caps the goroutines that build the walks' interaction
+// lists (0 = GOMAXPROCS, 1 = serial); the tree build is always serial.
 func (p *WParallel) SetHostWorkers(n int) { p.data.builder.Workers = n }
 
 // kernel returns the w-parallel force kernel bound to the current buffers.

@@ -19,7 +19,6 @@ var determinismScoped = []string{
 	"internal/core",
 	"internal/bh",
 	"internal/pp",
-	"internal/morton",
 	"internal/clc",
 	"internal/cl",
 	"internal/pipeline",

@@ -55,9 +55,8 @@ type TreeEngine struct {
 	Opt     bh.Options
 	Workers int // force-evaluation goroutines; <= 0 means GOMAXPROCS
 
-	// builder owns the pooled tree arenas; its Workers field (set via
-	// SetHostWorkers) caps the build parallelism independently of the
-	// evaluation Workers above.
+	// builder owns the pooled tree arenas. cpu-bh builds no walks, so the
+	// builder's Workers cap does not apply.
 	builder     bh.Builder
 	hostSeconds float64
 }
@@ -80,10 +79,6 @@ func (e *TreeEngine) Accel(s *body.System) (int64, error) {
 // HostBuildTotalSeconds implements HostBuildTimedEngine: accumulated
 // wall-clock tree-build time.
 func (e *TreeEngine) HostBuildTotalSeconds() float64 { return e.hostSeconds }
-
-// SetHostWorkers implements HostWorkersEngine, capping the tree-build
-// parallelism.
-func (e *TreeEngine) SetHostWorkers(n int) { e.builder.Workers = n }
 
 // Snapshot records diagnostics at one instant of a run.
 type Snapshot struct {
