@@ -1,8 +1,7 @@
 // Clkernels: run the paper's kernels from their OpenCL C *source* — the
 // form the paper's artifact would ship — through this repository's OpenCL C
 // subset compiler (internal/clc), and cross-check against the Go plan
-// implementation and the exact CPU sum. Also demonstrates the PTPM
-// autotuner picking jw-parallel parameters analytically.
+// implementation and the exact CPU sum.
 //
 // Run with: go run ./examples/clkernels
 package main
@@ -11,7 +10,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/bh"
 	"repro/internal/cl"
 	"repro/internal/core"
 	"repro/internal/gpusim"
@@ -65,43 +63,4 @@ func main() {
 	pp.Scalar(ref, params)
 	fmt.Printf("max relative error vs CPU direct sum: %.2e\n",
 		pp.MaxRelError(ref.Acc, clSys.Acc, 1e-3))
-
-	// --- PTPM autotuner: choose jw-parallel parameters analytically ---
-	tuner := &core.Tuner{
-		Dev:  gpusim.HD5850(),
-		Opt:  bh.DefaultOptions(),
-		Host: gpusim.PaperHost(),
-	}
-	sample := ic.Plummer(8192, 6)
-	choices, err := tuner.Tune(sample)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\nPTPM autotuner over an 8192-body sample (kernel-only objective):")
-	fmt.Printf("%10s %12s %14s %10s\n", "groupCap", "queues", "pred kernel", "walks")
-	for _, c := range choices[:5] {
-		fmt.Printf("%10d %12d %11.3f ms %10d\n",
-			c.GroupCap, c.QueueTarget, c.KernelSeconds*1e3, c.Workload.NumWalks)
-	}
-	best := choices[0]
-	fmt.Printf("\nbest: GroupCap=%d QueueTarget=%d — applying to a live plan...\n",
-		best.GroupCap, best.QueueTarget)
-
-	ctx2, err := cl.NewContext(gpusim.HD5850())
-	if err != nil {
-		log.Fatal(err)
-	}
-	p, err := core.NewPlanByName("jw-parallel",
-		core.WithCLContext(ctx2), core.WithBHOptions(bh.DefaultOptions()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	plan := p.(*core.JWParallel)
-	best.Apply(plan)
-	prof, err := plan.Accel(sample.Clone())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("measured: %.3f ms kernel (%.1f GFLOPS) — model predicted %.3f ms\n",
-		prof.Profile.KernelSeconds*1e3, prof.KernelGFLOPS(), best.KernelSeconds*1e3)
 }
