@@ -20,9 +20,9 @@ import (
 
 	"repro/internal/bh"
 	"repro/internal/core"
-	"repro/internal/exp"
 	"repro/internal/gpusim"
 	"repro/internal/ic"
+	"repro/internal/perf"
 	"repro/internal/pp"
 )
 
@@ -84,7 +84,7 @@ func BenchmarkFig4JWParallel(b *testing.B) {
 // BenchmarkFig5AllPlans regenerates Figure 5's series: every plan's
 // performance against the number of particles.
 func BenchmarkFig5AllPlans(b *testing.B) {
-	for _, name := range exp.PlanNames {
+	for _, name := range perf.PlanNames {
 		for _, n := range benchSizes {
 			b.Run(fmt.Sprintf("%s/N=%d", name, n), func(b *testing.B) {
 				benchPlan(b, name, n, kernelMetrics)
@@ -120,7 +120,7 @@ func BenchmarkTable1CPUvsGPU(b *testing.B) {
 // BenchmarkTable2TotalTime regenerates Table 2: total per-step time (host
 // build + transfers + kernel) for each plan.
 func BenchmarkTable2TotalTime(b *testing.B) {
-	for _, name := range exp.PlanNames {
+	for _, name := range perf.PlanNames {
 		for _, n := range benchSizes {
 			b.Run(fmt.Sprintf("%s/N=%d", name, n), func(b *testing.B) {
 				benchPlan(b, name, n, totalMsMetrics)
@@ -132,7 +132,7 @@ func BenchmarkTable2TotalTime(b *testing.B) {
 // BenchmarkTable3KernelTime regenerates Table 3: kernel-only per-step time
 // for each plan.
 func BenchmarkTable3KernelTime(b *testing.B) {
-	for _, name := range exp.PlanNames {
+	for _, name := range perf.PlanNames {
 		for _, n := range benchSizes {
 			b.Run(fmt.Sprintf("%s/N=%d", name, n), func(b *testing.B) {
 				benchPlan(b, name, n, kernelMsMetrics)

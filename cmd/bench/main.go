@@ -140,13 +140,13 @@ func main() {
 		if err := rep.WriteJSON(os.Stdout); err != nil {
 			fatalf("%v", err)
 		}
-	} else if err := writeReport(outPath, rep); err != nil {
+	} else if err := perf.WriteBenchReport(outPath, rep); err != nil {
 		fatalf("%v", err)
 	} else {
 		fmt.Fprintf(info, "wrote %s (%d points, schema v%d)\n", outPath, len(rep.Points), rep.SchemaVersion)
 	}
 	if *writeBase != "" {
-		if err := writeReport(*writeBase, rep); err != nil {
+		if err := perf.WriteBenchReport(*writeBase, rep); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Fprintf(info, "wrote baseline %s\n", *writeBase)
@@ -178,18 +178,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(info, "no regressions vs %s (threshold %.0f%%)\n", *baseline, *maxRegress*100)
-}
-
-func writeReport(path string, rep *perf.BenchReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		return err
-	}
-	return f.Close()
 }
 
 func fatalf(format string, args ...any) {

@@ -6,47 +6,51 @@
 //	experiments [flags] [fig4|fig5|table1|table2|table3|ablations|all]
 //
 // With no experiment argument it runs "all". The sweep is shared: every
-// figure and table of one invocation comes from the same set of runs.
+// figure and table of one invocation renders the same perf.RunBench report,
+// which -json writes as a BENCH document.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/obs"
+	"repro/internal/perf"
 )
 
 func main() {
 	var (
-		sizes     = cliflags.SizesFlag(flag.CommandLine)
-		kcheck    = cliflags.KernelCheckFlag(flag.CommandLine, "warn")
-		steps     = flag.Int("steps", 100, "steps per table entry (the paper uses 100)")
-		seed      = cliflags.ICSeed(flag.CommandLine, 0, "seed")
-		theta     = flag.Float64("theta", 0.6, "treecode opening angle")
-		quick     = flag.Bool("quick", false, "use a reduced sweep (smoke test)")
-		verbose   = flag.Bool("v", false, "print per-point progress")
-		jsonOut   = flag.String("json", "", "also write the sweep data (incl. flat per-experiment results) as JSON to this file")
-		metricsTo = flag.String("metrics", "", "write a JSON telemetry metrics snapshot of the sweep to this file")
+		sizes   = cliflags.SizesFlag(flag.CommandLine)
+		kcheck  = cliflags.KernelCheckFlag(flag.CommandLine, "warn")
+		steps   = flag.Int("steps", 100, "steps per table entry (the paper uses 100)")
+		seed    = cliflags.ICSeed(flag.CommandLine, 0, "seed")
+		theta   = flag.Float64("theta", 0.6, "treecode opening angle")
+		quick   = flag.Bool("quick", false, "use a reduced sweep (smoke test)")
+		verbose = flag.Bool("v", false, "print per-point progress")
+		jsonOut = flag.String("json", "", "also write the sweep as a BENCH report (the cmd/bench schema) to this file")
 	)
 	flag.Parse()
+	if *steps < 1 {
+		fmt.Fprintf(os.Stderr, "experiments: non-positive step count %d\n", *steps)
+		os.Exit(2)
+	}
 
 	if err := core.PreflightKernelCheck(kcheck.Mode(), nil, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
 
-	cfg := exp.DefaultConfig()
+	cfg := exp.PaperConfig()
 	if *quick {
-		cfg = exp.QuickConfig()
+		cfg.Sizes = []int{512, 1024, 2048, 4096}
 	}
 	if ns := sizes.List(); ns != nil {
 		cfg.Sizes = ns
 	}
-	cfg.Steps = *steps
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
@@ -54,73 +58,51 @@ func main() {
 	if *verbose {
 		cfg.Progress = os.Stderr
 	}
-	if *metricsTo != "" {
-		cfg.Obs = obs.New()
-	}
 
 	what := "all"
 	if flag.NArg() > 0 {
 		what = flag.Arg(0)
 	}
 
-	needSweep := what != "ablations"
-	var sw *exp.Sweep
-	if needSweep {
+	var rep *perf.BenchReport
+	if what != "ablations" {
 		var err error
-		sw, err = exp.RunSweep(cfg)
+		rep, err = perf.RunBench(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
 		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
+			rep.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
+			if err := perf.WriteBenchReport(*jsonOut, rep); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 				os.Exit(1)
 			}
-			if err := sw.WriteJSON(f); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Fprintf(os.Stderr, "wrote sweep data to %s (schema v%d, device model included)\n",
-				*jsonOut, exp.SweepSchemaVersion)
-		}
-		if *metricsTo != "" {
-			f, err := os.Create(*metricsTo)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			if err := cfg.Obs.Metrics.WriteJSON(f); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Fprintf(os.Stderr, "wrote metrics snapshot to %s\n", *metricsTo)
+			fmt.Fprintf(os.Stderr, "wrote sweep data to %s (BENCH schema v%d)\n",
+				*jsonOut, rep.SchemaVersion)
 		}
 	}
 
 	emit := func(s string) { fmt.Println(s) }
 	switch what {
 	case "fig4":
-		emit(exp.Fig4(sw))
+		emit(exp.Fig4(rep))
 	case "fig5":
-		emit(exp.Fig5(sw))
+		emit(exp.Fig5(rep))
 	case "table1":
-		emit(exp.Table1(sw))
+		emit(exp.Table1(rep, *steps))
 	case "table2":
-		emit(exp.Table2(sw))
+		emit(exp.Table2(rep, *steps))
 	case "table3":
-		emit(exp.Table3(sw))
+		emit(exp.Table3(rep, *steps))
 	case "ablations":
 		runAblations(cfg)
 	case "all":
-		emit(exp.Fig4(sw))
-		emit(exp.Fig5(sw))
-		emit(exp.Table1(sw))
-		emit(exp.Table2(sw))
-		emit(exp.Table3(sw))
+		emit(exp.Fig4(rep))
+		emit(exp.Fig5(rep))
+		emit(exp.Table1(rep, *steps))
+		emit(exp.Table2(rep, *steps))
+		emit(exp.Table3(rep, *steps))
 		runAblations(cfg)
 	default:
 		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", what)
@@ -128,7 +110,7 @@ func main() {
 	}
 }
 
-func runAblations(cfg exp.Config) {
+func runAblations(cfg perf.BenchConfig) {
 	nMid := cfg.Sizes[len(cfg.Sizes)/2]
 	small := cfg.Sizes
 	if len(small) > 4 {

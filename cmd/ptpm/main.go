@@ -19,10 +19,10 @@ import (
 	"repro/internal/cl"
 	"repro/internal/cliflags"
 	"repro/internal/core"
-	"repro/internal/exp"
 	"repro/internal/gpusim"
 	"repro/internal/ic"
 	"repro/internal/obs"
+	"repro/internal/perf"
 )
 
 func main() {
@@ -36,7 +36,8 @@ func main() {
 
 	dev := device.Config()
 	model := core.TimeSpaceModel{Dev: dev}
-	sys := ic.Plummer(*n, 1)
+	// Both halves analyse one system, the bench sweep's workload at this N.
+	sys := ic.Plummer(*n, perf.DefaultBenchConfig().Seed)
 
 	// Analytic mappings for the PP plans (no execution needed).
 	fmt.Printf("PTPM analytic predictions (device: %s, peak %.0f GFLOPS)\n\n",
@@ -64,29 +65,31 @@ func main() {
 
 	// Measured: run each plan once and analyse the actual launch.
 	fmt.Println("Measured launches (same cost model, counted work):")
-	cfg := exp.DefaultConfig()
-	cfg.Device = dev
-	cfg.Sizes = []int{*n}
-	cfg.Theta = float32(*theta)
+	var o *obs.Obs
 	if *tracePath != "" {
-		cfg.Obs = obs.New()
-	}
-	sw, err := exp.RunSweep(cfg)
-	if err != nil {
-		fail(err)
+		o = obs.New()
 	}
 	var measured []core.Analysis
 	var jwLaunch *gpusim.Result
-	for _, name := range exp.PlanNames {
-		pt := sw.Points[name][0]
-		measured = append(measured, model.Analyze(core.FromResult(name, pt.Launch)))
+	for _, name := range perf.PlanNames {
+		plan, err := core.NewPlanByName(name,
+			core.WithDevice(dev), core.WithBHOptions(opt), core.WithObs(o))
+		if err != nil {
+			fail(err)
+		}
+		prof, err := plan.Accel(sys.Clone())
+		if err != nil {
+			fail(err)
+		}
+		launch := prof.Launches[0]
+		measured = append(measured, model.Analyze(core.FromResult(name, launch)))
 		if name == "jw-parallel" {
-			jwLaunch = pt.Launch
+			jwLaunch = launch
 		}
 	}
 	fmt.Println(core.Report(measured...))
 
-	if *tracePath != "" && jwLaunch != nil {
+	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			fail(err)
@@ -95,7 +98,7 @@ func main() {
 		// One file, three views: wall-clock host spans (tree build, walk/list
 		// construction), the modelled queue pipeline, and the jw-parallel
 		// kernel's per-CU device schedule.
-		if err := cl.WriteMergedTrace(f, cfg.Obs.Trace, dev, jwLaunch); err != nil {
+		if err := cl.WriteMergedTrace(f, o.Trace, dev, jwLaunch); err != nil {
 			fail(err)
 		}
 		fmt.Printf("wrote merged host+device trace to %s (open in Perfetto / chrome://tracing)\n", *tracePath)

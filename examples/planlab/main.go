@@ -14,8 +14,9 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/exp"
 	"repro/internal/gpusim"
+	"repro/internal/ic"
+	"repro/internal/perf"
 )
 
 func main() {
@@ -24,31 +25,41 @@ func main() {
 
 	fmt.Printf("PTPM plan laboratory — device %s, peak %.0f GFLOPS\n\n", dev.Name, dev.PeakGFLOPS())
 
-	cfg := exp.DefaultConfig()
-	cfg.Sizes = []int{512, 4096, 16384}
-	sw, err := exp.RunSweep(cfg)
-	if err != nil {
-		log.Fatal(err)
+	plans := make(map[string]core.Plan, len(perf.PlanNames))
+	for _, name := range perf.PlanNames {
+		plan, err := core.NewPlanByName(name, core.WithDevice(dev))
+		if err != nil {
+			log.Fatal(err)
+		}
+		plans[name] = plan
 	}
 
-	for k, n := range cfg.Sizes {
+	for _, n := range []int{512, 4096, 16384} {
 		fmt.Printf("== N = %d ==\n", n)
+		// The bench sweep's workload at this N.
+		sys := ic.Plummer(n, perf.DefaultBenchConfig().Seed)
+		profs := make(map[string]*core.RunProfile, len(plans))
 		var analyses []core.Analysis
-		for _, name := range exp.PlanNames {
-			pt := sw.Points[name][k]
-			analyses = append(analyses, model.Analyze(core.FromResult(name, pt.Launch)))
+		for _, name := range perf.PlanNames {
+			prof, err := plans[name].Accel(sys.Clone())
+			if err != nil {
+				log.Fatal(err)
+			}
+			profs[name] = prof
+			analyses = append(analyses, model.Analyze(core.FromResult(name, prof.Launches[0])))
 		}
 		fmt.Println(core.Report(analyses...))
 
-		jw := sw.Points["jw-parallel"][k]
-		w := sw.Points["w-parallel"][k]
-		ip := sw.Points["i-parallel"][k]
+		jw := profs["jw-parallel"]
+		w := profs["w-parallel"]
+		ip := profs["i-parallel"]
 		fmt.Printf("reading: jw-parallel sustains %.0f GFLOPS here; w-parallel pays %0.1fx more kernel time\n",
-			jw.KernelGFLOPS, w.KernelSeconds/jw.KernelSeconds)
+			jw.KernelGFLOPS(), w.Profile.KernelSeconds/jw.Profile.KernelSeconds)
 		switch {
 		case n <= 1024:
+			launch := ip.Launches[0]
 			fmt.Printf("at this size i-parallel has only %d work-groups for %d compute units — the space axis is starved.\n\n",
-				ip.Launch.Params.Global/ip.Launch.Params.Local, dev.ComputeUnits)
+				launch.Params.Global/launch.Params.Local, dev.ComputeUnits)
 		default:
 			fmt.Printf("at this size the PP plans execute %.1fx more interactions than the treecode walks need.\n\n",
 				float64(ip.Interactions)/float64(jw.Interactions))

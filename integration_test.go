@@ -11,6 +11,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/ic"
 	"repro/internal/integrate"
+	"repro/internal/perf"
 	"repro/internal/pp"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -118,18 +119,19 @@ func TestExperimentHarnessSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness sweep is slow")
 	}
-	cfg := exp.QuickConfig()
+	cfg := exp.PaperConfig()
 	cfg.Sizes = []int{512, 1024}
-	sw, err := exp.RunSweep(cfg)
+	rep, err := perf.RunBench(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const steps = 10
 	for name, out := range map[string]string{
-		"fig4":   exp.Fig4(sw),
-		"fig5":   exp.Fig5(sw),
-		"table1": exp.Table1(sw),
-		"table2": exp.Table2(sw),
-		"table3": exp.Table3(sw),
+		"fig4":   exp.Fig4(rep),
+		"fig5":   exp.Fig5(rep),
+		"table1": exp.Table1(rep, steps),
+		"table2": exp.Table2(rep, steps),
+		"table3": exp.Table3(rep, steps),
 	} {
 		if len(out) < 50 {
 			t.Errorf("%s: suspiciously short render:\n%s", name, out)

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/bh"
-	"repro/internal/cl"
 	"repro/internal/core"
+	"repro/internal/perf"
 	"repro/internal/pp"
 	"repro/internal/table"
 )
@@ -14,23 +14,19 @@ import (
 // opening angle it reports the jw-parallel kernel time, the interaction
 // count and the RMS relative force error against the exact direct sum. The
 // paper fixes theta; this sweep documents what that choice buys.
-func ThetaSweep(cfg Config, n int, thetas []float32) (string, error) {
-	sys := cfg.workload(n)
+func ThetaSweep(cfg perf.BenchConfig, n int, thetas []float32) (string, error) {
+	sys := workload(cfg, n)
 	exact := sys.Clone()
-	pp.Scalar(exact, cfg.ppParams())
+	pp.Scalar(exact, ppParams(cfg))
 
 	t := table.New(
 		fmt.Sprintf("Ablation — opening angle theta (jw-parallel, N=%d)", n),
 		"theta", "interactions", "kernel time", "GFLOPS", "RMS force err")
 	for _, theta := range thetas {
-		ctx, err := cl.NewContext(cfg.Device)
-		if err != nil {
-			return "", err
-		}
-		opt := cfg.bhOptions()
+		opt := bhOptions(cfg)
 		opt.Theta = theta
 		plan, err := core.NewPlanByName("jw-parallel",
-			core.WithCLContext(ctx), core.WithBHOptions(opt))
+			core.WithDevice(cfg.Device), core.WithBHOptions(opt))
 		if err != nil {
 			return "", err
 		}
@@ -53,19 +49,15 @@ func ThetaSweep(cfg Config, n int, thetas []float32) (string, error) {
 // GroupCapSweep varies the jw-parallel walk size (bodies per group): small
 // walks keep lists short but waste lanes; large walks fill lanes but
 // lengthen every list. The paper's design picks the middle of this curve.
-func GroupCapSweep(cfg Config, n int, caps []int) (string, error) {
-	sys := cfg.workload(n)
+func GroupCapSweep(cfg perf.BenchConfig, n int, caps []int) (string, error) {
+	sys := workload(cfg, n)
 	t := table.New(
 		fmt.Sprintf("Ablation — jw-parallel walk size (GroupCap, N=%d)", n),
 		"groupCap", "walks", "mean list", "interactions", "kernel time", "GFLOPS")
 	for _, gc := range caps {
-		ctx, err := cl.NewContext(cfg.Device)
-		if err != nil {
-			return "", err
-		}
 		plan, err := core.NewPlanByName("jw-parallel",
-			core.WithCLContext(ctx),
-			core.WithBHOptions(cfg.bhOptions()),
+			core.WithDevice(cfg.Device),
+			core.WithBHOptions(bhOptions(cfg)),
 			core.WithTuning(gc, 0, 0))
 		if err != nil {
 			return "", err
@@ -76,7 +68,7 @@ func GroupCapSweep(cfg Config, n int, caps []int) (string, error) {
 		}
 
 		// Recompute the walk statistics the plan used.
-		opt := cfg.bhOptions()
+		opt := bhOptions(cfg)
 		if opt.LeafCap > gc {
 			opt.LeafCap = gc
 		}
@@ -105,19 +97,15 @@ func GroupCapSweep(cfg Config, n int, caps []int) (string, error) {
 // StagingAblation disables jw-parallel's local-memory staging (reverting
 // its list handling to w-parallel's per-lane streaming, while keeping the
 // queueing) to show where the speedup comes from.
-func StagingAblation(cfg Config, sizes []int) (string, error) {
+func StagingAblation(cfg perf.BenchConfig, sizes []int) (string, error) {
 	t := table.New("Ablation — jw-parallel local-memory staging",
 		"N", "staged kernel", "unstaged kernel", "staging gain")
 	for _, n := range sizes {
-		sys := cfg.workload(n)
+		sys := workload(cfg, n)
 		var secs [2]float64
 		for i, disable := range []bool{false, true} {
-			ctx, err := cl.NewContext(cfg.Device)
-			if err != nil {
-				return "", err
-			}
 			p, err := core.NewPlanByName("jw-parallel",
-				core.WithCLContext(ctx), core.WithBHOptions(cfg.bhOptions()))
+				core.WithDevice(cfg.Device), core.WithBHOptions(bhOptions(cfg)))
 			if err != nil {
 				return "", err
 			}
@@ -147,11 +135,11 @@ func StagingAblation(cfg Config, sizes []int) (string, error) {
 // memory-bound w-parallel, single-wavefront groups cannot hide memory
 // latency at small N, and removing that penalty shows how much of its
 // deficit is occupancy rather than traffic.
-func OccupancyAblation(cfg Config, sizes []int) (string, error) {
+func OccupancyAblation(cfg perf.BenchConfig, sizes []int) (string, error) {
 	t := table.New("Ablation — latency-hiding occupancy (GFLOPS with / without the penalty)",
 		"N", "i-par full", "i-par no-penalty", "w-par full", "w-par no-penalty")
 	for _, n := range sizes {
-		sys := cfg.workload(n)
+		sys := workload(cfg, n)
 		var cells []string
 		cells = append(cells, fmt.Sprint(n))
 		for _, planName := range []string{"i-parallel", "w-parallel"} {
@@ -161,14 +149,10 @@ func OccupancyAblation(cfg Config, sizes []int) (string, error) {
 					dev.HideWavefronts = 1
 					dev.ALUHideWavefronts = 1
 				}
-				ctx, err := cl.NewContext(dev)
-				if err != nil {
-					return "", err
-				}
 				plan, err := core.NewPlanByName(planName,
-					core.WithCLContext(ctx),
-					core.WithPPParams(cfg.ppParams()),
-					core.WithBHOptions(cfg.bhOptions()))
+					core.WithDevice(dev),
+					core.WithPPParams(ppParams(cfg)),
+					core.WithBHOptions(bhOptions(cfg)))
 				if err != nil {
 					return "", err
 				}
@@ -188,20 +172,16 @@ func OccupancyAblation(cfg Config, sizes []int) (string, error) {
 // time (max over lanes) with a naive mean-over-lanes account, for the BH
 // plans, showing why w-parallel's idle lanes hurt it and why jw-parallel's
 // packed walks matter.
-func DivergenceAblation(cfg Config, n int) (string, error) {
-	sys := cfg.workload(n)
+func DivergenceAblation(cfg perf.BenchConfig, n int) (string, error) {
+	sys := workload(cfg, n)
 	model := core.TimeSpaceModel{Dev: cfg.Device}
 
 	t := table.New(
 		fmt.Sprintf("Ablation — SIMD divergence accounting (N=%d)", n),
 		"plan", "time (lane-max)", "time (lane-mean)", "divergence penalty")
 	for _, name := range []string{"w-parallel", "jw-parallel"} {
-		ctx, err := cl.NewContext(cfg.Device)
-		if err != nil {
-			return "", err
-		}
 		plan, err := core.NewPlanByName(name,
-			core.WithCLContext(ctx), core.WithBHOptions(cfg.bhOptions()))
+			core.WithDevice(cfg.Device), core.WithBHOptions(bhOptions(cfg)))
 		if err != nil {
 			return "", err
 		}

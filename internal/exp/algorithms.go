@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/bh"
 	"repro/internal/fmm"
+	"repro/internal/gpusim"
+	"repro/internal/perf"
 	"repro/internal/pp"
 	"repro/internal/table"
 )
@@ -15,27 +17,28 @@ import (
 // on interaction counts, modelled paper-era CPU time and force accuracy.
 // It grounds the paper's premise: the treecode family is what makes large N
 // feasible, and the GPU plans are about executing it fast.
-func Algorithms(cfg Config, sizes []int) (string, error) {
+func Algorithms(cfg perf.BenchConfig, sizes []int) (string, error) {
+	cpu := gpusim.PaperCPU()
 	t := table.New(
-		"Extension — algorithm comparison on the modelled CPU ("+cfg.CPU.Name+")",
+		"Extension — algorithm comparison on the modelled CPU ("+cpu.Name+")",
 		"N", "algorithm", "interactions", "CPU time/step", "RMS force err")
 	for _, n := range sizes {
-		sys := cfg.workload(n)
+		sys := workload(cfg, n)
 		exact := sys.Clone()
-		pp.Scalar(exact, cfg.ppParams())
+		pp.Scalar(exact, ppParams(cfg))
 
 		// PP: exact by construction.
 		ppInter := int64(n) * int64(n)
 		t.AddRow(
 			fmt.Sprint(n), "PP (direct)",
 			table.Count(ppInter),
-			table.Seconds(cfg.CPU.Seconds(ppInter*pp.FlopsPerInteraction)),
+			table.Seconds(cpu.Seconds(ppInter*pp.FlopsPerInteraction)),
 			"0 (exact)",
 		)
 
 		// Barnes-Hut per-body walks.
 		bhSys := sys.Clone()
-		tree, err := bh.Build(bhSys, cfg.bhOptions())
+		tree, err := bh.Build(bhSys, bhOptions(cfg))
 		if err != nil {
 			return "", err
 		}
@@ -43,13 +46,13 @@ func Algorithms(cfg Config, sizes []int) (string, error) {
 		t.AddRow(
 			"", "Barnes-Hut",
 			table.Count(st.Interactions),
-			table.Seconds(cfg.CPU.Seconds(st.Flops())),
+			table.Seconds(cpu.Seconds(st.Flops())),
 			fmt.Sprintf("%.1e", pp.RMSRelError(exact.Acc, bhSys.Acc, 1e-3)),
 		)
 
 		// Dual-tree (FMM-style).
 		fmmSys := sys.Clone()
-		tree2, err := bh.Build(fmmSys, cfg.bhOptions())
+		tree2, err := bh.Build(fmmSys, bhOptions(cfg))
 		if err != nil {
 			return "", err
 		}
@@ -60,7 +63,7 @@ func Algorithms(cfg Config, sizes []int) (string, error) {
 		t.AddRow(
 			"", "FMM (dual-tree)",
 			table.Count(fst.Interactions()),
-			table.Seconds(cfg.CPU.Seconds(fst.Interactions()*pp.FlopsPerInteraction)),
+			table.Seconds(cpu.Seconds(fst.Interactions()*pp.FlopsPerInteraction)),
 			fmt.Sprintf("%.1e", pp.RMSRelError(exact.Acc, fmmSys.Acc, 1e-3)),
 		)
 	}

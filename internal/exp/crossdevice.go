@@ -3,9 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/cl"
 	"repro/internal/core"
 	"repro/internal/gpusim"
+	"repro/internal/perf"
 	"repro/internal/table"
 )
 
@@ -14,8 +14,8 @@ import (
 // the multi-GPU extension, answering the portability question the paper's
 // PTPM is meant to answer analytically: how does the same mapping fare on a
 // different space axis?
-func CrossDevice(cfg Config, n int) (string, error) {
-	sys := cfg.workload(n)
+func CrossDevice(cfg perf.BenchConfig, n int) (string, error) {
+	sys := workload(cfg, n)
 
 	type entry struct {
 		name string
@@ -24,12 +24,8 @@ func CrossDevice(cfg Config, n int) (string, error) {
 	}
 	var entries []entry
 	for _, dc := range []gpusim.DeviceConfig{gpusim.HD5850(), gpusim.HD5870(), gpusim.GTX280Class()} {
-		ctx, err := cl.NewContext(dc)
-		if err != nil {
-			return "", err
-		}
 		p, err := core.NewPlanByName("jw-parallel",
-			core.WithCLContext(ctx), core.WithBHOptions(cfg.bhOptions()))
+			core.WithDevice(dc), core.WithBHOptions(bhOptions(cfg)))
 		if err != nil {
 			return "", err
 		}
@@ -43,7 +39,7 @@ func CrossDevice(cfg Config, n int) (string, error) {
 	}
 	for _, devices := range []int{2, 4} {
 		multi, err := core.NewPlanByName(fmt.Sprintf("jw-parallel-x%d", devices),
-			core.WithDevice(gpusim.HD5850()), core.WithBHOptions(cfg.bhOptions()))
+			core.WithDevice(gpusim.HD5850()), core.WithBHOptions(bhOptions(cfg)))
 		if err != nil {
 			return "", err
 		}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,7 +11,7 @@ import (
 // far higher efficiency (easier issue slots) despite lower peak, and the
 // multi-GPU extension scales.
 func TestCrossDevice(t *testing.T) {
-	out, err := CrossDevice(QuickConfig(), 4096)
+	out, err := CrossDevice(quickConfig(), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +50,7 @@ func TestCrossDevice(t *testing.T) {
 }
 
 func TestAlgorithms(t *testing.T) {
-	out, err := Algorithms(QuickConfig(), []int{1024, 4096})
+	out, err := Algorithms(quickConfig(), []int{1024, 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +89,7 @@ func TestAlgorithms(t *testing.T) {
 }
 
 func TestQuadrupoleSweep(t *testing.T) {
-	out, err := QuadrupoleSweep(QuickConfig(), 2048, []float32{0.5, 0.9})
+	out, err := QuadrupoleSweep(quickConfig(), 2048, []float32{0.5, 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func TestQuadrupoleSweep(t *testing.T) {
 }
 
 func TestWorkloadSensitivity(t *testing.T) {
-	out, err := WorkloadSensitivity(QuickConfig(), 2048)
+	out, err := WorkloadSensitivity(quickConfig(), 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,50 +120,5 @@ func TestWorkloadSensitivity(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestSweepWriteJSON(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.Sizes = []int{512}
-	sw, err := RunSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := sw.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(buf.String()), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	plans, ok := doc["plans"].(map[string]any)
-	if !ok || len(plans) != 4 {
-		t.Fatalf("plans missing: %v", doc["plans"])
-	}
-	for _, name := range PlanNames {
-		if _, ok := plans[name]; !ok {
-			t.Errorf("plan %s missing from JSON", name)
-		}
-	}
-	if doc["device"] == "" || doc["steps"] == float64(0) {
-		t.Error("metadata missing")
-	}
-	if doc["schema_version"] != float64(SweepSchemaVersion) {
-		t.Errorf("schema_version = %v, want %d", doc["schema_version"], SweepSchemaVersion)
-	}
-	dm, ok := doc["device_model"].(map[string]any)
-	if !ok {
-		t.Fatalf("device_model missing: %v", doc["device_model"])
-	}
-	// The full cost-model parameters must ride along so two documents can
-	// be judged comparable without this repo's source.
-	if dm["Name"] != cfg.Device.Name {
-		t.Errorf("device_model name = %v, want %s", dm["Name"], cfg.Device.Name)
-	}
-	if dm["ComputeUnits"] != float64(cfg.Device.ComputeUnits) ||
-		dm["ClockHz"] != cfg.Device.ClockHz {
-		t.Errorf("device_model params missing: %v", dm)
 	}
 }

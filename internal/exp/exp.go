@@ -1,9 +1,9 @@
-// Package exp is the benchmark harness that regenerates every figure and
-// table of the paper's evaluation (Section 5): Figure 4 (jw-parallel GFLOPS
-// vs N), Figure 5 (all four plans vs N), Table 1 (CPU vs GPU running time
-// over 100 steps), Table 2 (total time of the four GPU plans) and Table 3
-// (kernel-only running time of the four GPU plans) — plus the ablations
-// DESIGN.md calls out.
+// Package exp regenerates every figure and table of the paper's evaluation
+// (Section 5): Figure 4 (jw-parallel GFLOPS vs N), Figure 5 (all four plans
+// vs N), Table 1 (CPU vs GPU running time over 100 steps), Table 2 (total
+// time of the four GPU plans) and Table 3 (kernel-only running time of the
+// four GPU plans) — plus the ablations DESIGN.md calls out. The figures and
+// tables render a perf.BenchReport: the sweep is perf.RunBench's.
 //
 // All times are the simulator's modelled times for the paper's hardware (an
 // AMD Radeon HD 5850 and a Pentium 4 3.0 GHz host); kernels really execute
@@ -13,202 +13,32 @@
 package exp
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/bh"
 	"repro/internal/body"
-	"repro/internal/cl"
-	"repro/internal/core"
-	"repro/internal/gpusim"
 	"repro/internal/ic"
-	"repro/internal/obs"
+	"repro/internal/perf"
 	"repro/internal/pp"
 )
 
-// Config parameterises a sweep.
-type Config struct {
-	// Sizes is the body-count sweep (ascending).
-	Sizes []int
-	// Steps is the simulated step count the paper's tables use (100).
-	Steps int
-	// Seed makes the workloads reproducible.
-	Seed uint64
-	// Theta and Eps configure the treecode; G is fixed at 1.
-	Theta, Eps float32
-	// Device is the modelled GPU; CPU and Host the modelled paper-era CPU.
-	Device gpusim.DeviceConfig
-	CPU    gpusim.CPUModel
-	// Progress, when non-nil, receives one line per completed point.
-	Progress io.Writer
-	// Obs, when non-nil, is wired into every plan: the sweep feeds the
-	// metrics registry (kernel-ms, transfer bytes, walk statistics, ...) and
-	// the tracer, so a run can end with a machine-readable snapshot.
-	Obs *obs.Obs
-}
-
-// DefaultConfig returns the paper's configuration: N from 1K to 64K over
-// 100 steps on the HD 5850 model.
-func DefaultConfig() Config {
-	return Config{
-		Sizes:  []int{1024, 2048, 4096, 8192, 16384, 32768, 65536},
-		Steps:  100,
-		Seed:   20110511, // the paper's publication year/month/day
-		Theta:  0.6,
-		Eps:    0.05,
-		Device: gpusim.HD5850(),
-		CPU:    gpusim.PaperCPU(),
-	}
-}
-
-// QuickConfig returns a reduced sweep for tests and smoke runs.
-func QuickConfig() Config {
-	c := DefaultConfig()
-	c.Sizes = []int{512, 1024, 2048, 4096}
-	c.Steps = 10
+// PaperConfig returns the paper's sweep: the four plans over N from 1K to
+// 64K on the HD 5850 model, one timed evaluation per point. The tables
+// scale that one evaluation by their step count (one force evaluation per
+// leapfrog step).
+func PaperConfig() perf.BenchConfig {
+	c := perf.DefaultBenchConfig()
+	c.Sizes = []int{1024, 2048, 4096, 8192, 16384, 32768, 65536}
+	c.Repeats = 1
+	c.Hermite = false
 	return c
 }
 
-func (c Config) ppParams() pp.Params { return pp.Params{G: 1, Eps: c.Eps} }
+func ppParams(cfg perf.BenchConfig) pp.Params { return pp.Params{G: 1, Eps: cfg.Eps} }
 
-func (c Config) bhOptions() bh.Options {
+func bhOptions(cfg perf.BenchConfig) bh.Options {
 	o := bh.DefaultOptions()
-	o.Theta = c.Theta
-	o.Eps = c.Eps
+	o.Theta = cfg.Theta
+	o.Eps = cfg.Eps
 	return o
 }
 
-func (c Config) workload(n int) *body.System { return ic.Plummer(n, c.Seed) }
-
-func (c Config) progressf(format string, args ...any) {
-	if c.Progress != nil {
-		fmt.Fprintf(c.Progress, format, args...)
-	}
-}
-
-// PlanNames lists the four plans in the paper's presentation order.
-var PlanNames = []string{"i-parallel", "j-parallel", "w-parallel", "jw-parallel"}
-
-// Point is one (plan, N) measurement: a single force evaluation, which the
-// tables scale by Config.Steps (one force evaluation per leapfrog step).
-type Point struct {
-	Plan         string
-	N            int
-	Interactions int64
-	Flops        int64
-
-	KernelSeconds   float64
-	TransferSeconds float64
-	HostSeconds     float64
-
-	// KernelGFLOPS is the plan's own useful flops over kernel time (the
-	// paper's figure metric).
-	KernelGFLOPS float64
-	// EffectiveGFLOPS normalises by the jw-parallel flop count at the same
-	// N: useful work per second on the *same physical problem*, which is
-	// the fair cross-algorithm comparison (a PP plan does N^2 work where
-	// the treecode does far less).
-	EffectiveGFLOPS float64
-
-	// Launch keeps the device-level detail for PTPM reports.
-	Launch *gpusim.Result
-}
-
-// TotalSeconds is the full per-evaluation pipeline time.
-func (p Point) TotalSeconds() float64 {
-	return p.KernelSeconds + p.TransferSeconds + p.HostSeconds
-}
-
-// Sweep holds every plan's points over the configured sizes.
-type Sweep struct {
-	Config Config
-	// Points[plan][k] corresponds to Config.Sizes[k].
-	Points map[string][]Point
-}
-
-// newPlans constructs the four plans, each on a fresh device context.
-func (c Config) newPlans() (map[string]core.Plan, error) {
-	plans := make(map[string]core.Plan, 4)
-	for _, name := range PlanNames {
-		ctx, err := cl.NewContext(c.Device)
-		if err != nil {
-			return nil, err
-		}
-		plan, err := core.NewPlanByName(name,
-			core.WithCLContext(ctx),
-			core.WithPPParams(c.ppParams()),
-			core.WithBHOptions(c.bhOptions()),
-			core.WithObs(c.Obs))
-		if err != nil {
-			return nil, err
-		}
-		plans[name] = plan
-	}
-	return plans, nil
-}
-
-// RunSweep evaluates every plan at every size once. Figures and tables are
-// rendered from the same sweep so one invocation regenerates the whole
-// evaluation consistently.
-func RunSweep(cfg Config) (*Sweep, error) {
-	if len(cfg.Sizes) == 0 {
-		return nil, fmt.Errorf("exp: empty size sweep")
-	}
-	if cfg.Steps <= 0 {
-		return nil, fmt.Errorf("exp: non-positive step count %d", cfg.Steps)
-	}
-	plans, err := cfg.newPlans()
-	if err != nil {
-		return nil, err
-	}
-	sw := &Sweep{Config: cfg, Points: make(map[string][]Point)}
-	for _, n := range cfg.Sizes {
-		sys := cfg.workload(n)
-		var jwFlops int64
-		// jw-parallel last in execution order would break effective-GFLOPS
-		// accounting, so run it first at each size.
-		order := []string{"jw-parallel", "i-parallel", "j-parallel", "w-parallel"}
-		pts := make(map[string]Point, 4)
-		for _, name := range order {
-			prof, err := plans[name].Accel(sys.Clone())
-			if err != nil {
-				return nil, fmt.Errorf("exp: %s at N=%d: %w", name, n, err)
-			}
-			pt := Point{
-				Plan:            name,
-				N:               n,
-				Interactions:    prof.Interactions,
-				Flops:           prof.Flops,
-				KernelSeconds:   prof.Profile.KernelSeconds,
-				TransferSeconds: prof.Profile.TransferSeconds,
-				HostSeconds:     prof.Profile.HostSeconds,
-				KernelGFLOPS:    prof.KernelGFLOPS(),
-			}
-			if len(prof.Launches) > 0 {
-				pt.Launch = prof.Launches[0]
-			}
-			if name == "jw-parallel" {
-				jwFlops = prof.Flops
-			}
-			pt.EffectiveGFLOPS = float64(jwFlops) / pt.KernelSeconds / 1e9
-			pts[name] = pt
-			cfg.progressf("  %-12s N=%-7d kernel=%-12s %.1f GFLOPS\n",
-				name, n, fmtSecs(pt.KernelSeconds), pt.KernelGFLOPS)
-		}
-		for _, name := range PlanNames {
-			sw.Points[name] = append(sw.Points[name], pts[name])
-		}
-	}
-	return sw, nil
-}
-
-func fmtSecs(s float64) string {
-	switch {
-	case s < 1e-3:
-		return fmt.Sprintf("%.1fus", s*1e6)
-	case s < 1:
-		return fmt.Sprintf("%.2fms", s*1e3)
-	default:
-		return fmt.Sprintf("%.3fs", s)
-	}
-}
+func workload(cfg perf.BenchConfig, n int) *body.System { return ic.Plummer(n, cfg.Seed) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bh"
+	"repro/internal/perf"
 	"repro/internal/pp"
 	"repro/internal/table"
 )
@@ -13,16 +14,16 @@ import (
 // expansion order buys at fixed theta, and equivalently how much theta (and
 // therefore work) the higher order lets a simulation give back at fixed
 // accuracy.
-func QuadrupoleSweep(cfg Config, n int, thetas []float32) (string, error) {
-	sys := cfg.workload(n)
+func QuadrupoleSweep(cfg perf.BenchConfig, n int, thetas []float32) (string, error) {
+	sys := workload(cfg, n)
 	exact := sys.Clone()
-	pp.Scalar(exact, cfg.ppParams())
+	pp.Scalar(exact, ppParams(cfg))
 
 	t := table.New(
 		fmt.Sprintf("Extension — expansion order (CPU treecode, N=%d)", n),
 		"theta", "interactions", "mono RMS err", "quad RMS err", "quad gain")
 	for _, theta := range thetas {
-		opt := cfg.bhOptions()
+		opt := bhOptions(cfg)
 		opt.Theta = theta
 
 		mono := sys.Clone()

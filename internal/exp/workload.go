@@ -3,9 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/cl"
 	"repro/internal/core"
 	"repro/internal/ic"
+	"repro/internal/perf"
 	"repro/internal/table"
 )
 
@@ -15,7 +15,7 @@ import (
 // sphere's central concentration: uniform distributions give shorter
 // interaction lists (less depth), cold disks give anisotropic trees, and
 // colliding clusters carry two density centres.
-func WorkloadSensitivity(cfg Config, n int) (string, error) {
+func WorkloadSensitivity(cfg perf.BenchConfig, n int) (string, error) {
 	t := table.New(
 		fmt.Sprintf("Extension — workload sensitivity (jw-parallel, N=%d)", n),
 		"workload", "interactions", "inter/body", "kernel time", "GFLOPS")
@@ -25,7 +25,7 @@ func WorkloadSensitivity(cfg Config, n int) (string, error) {
 		{"plummer"}, {"cube"}, {"disk"}, {"collision"},
 	}
 	for _, wl := range workloads {
-		sys := cfg.workload(n)
+		sys := workload(cfg, n)
 		switch wl.name {
 		case "cube":
 			sys = ic.UniformCube(n, 2.0, cfg.Seed)
@@ -34,12 +34,8 @@ func WorkloadSensitivity(cfg Config, n int) (string, error) {
 		case "collision":
 			sys = ic.Collision(n, 4.0, 0.5, cfg.Seed)
 		}
-		ctx, err := cl.NewContext(cfg.Device)
-		if err != nil {
-			return "", err
-		}
 		plan, err := core.NewPlanByName("jw-parallel",
-			core.WithCLContext(ctx), core.WithBHOptions(cfg.bhOptions()))
+			core.WithDevice(cfg.Device), core.WithBHOptions(bhOptions(cfg)))
 		if err != nil {
 			return "", err
 		}

@@ -122,6 +122,20 @@ func (r *BenchReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
+// WriteBenchReport writes the report to path as indented JSON, the file
+// ReadBenchReport loads.
+func WriteBenchReport(path string, r *BenchReport) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // ReadBenchReport loads a BENCH_*.json file. Older schema versions are
 // upgraded in memory to the current one so baselines captured before a
 // compatible schema bump keep working: a v1 file (which predates pipeline

@@ -196,15 +196,11 @@ func (r *BenchReport) Point(plan string, n int) *BenchPoint {
 
 // newPlan constructs one of the four plans on a fresh device context.
 func newPlan(name string, dev gpusim.DeviceConfig, theta, eps float32) (core.Plan, error) {
-	ctx, err := cl.NewContext(dev)
-	if err != nil {
-		return nil, err
-	}
 	opt := bh.DefaultOptions()
 	opt.Theta = theta
 	opt.Eps = eps
 	return core.NewPlanByName(name,
-		core.WithCLContext(ctx),
+		core.WithDevice(dev),
 		core.WithPPParams(pp.Params{G: 1, Eps: eps}),
 		core.WithBHOptions(opt))
 }

@@ -128,8 +128,8 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 		t.Error("pipeline mode missing from JSON")
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := writeFile(path, buf.Bytes()); err != nil {
-		t.Fatal(err)
+	if err := WriteBenchReport(path, rep); err != nil {
+		t.Fatalf("WriteBenchReport: %v", err)
 	}
 	got, err := ReadBenchReport(path)
 	if err != nil {
