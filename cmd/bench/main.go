@@ -10,7 +10,7 @@
 //
 //	bench -quick -out BENCH_smoke.json            # CI smoke sweep
 //	bench -baseline BENCH_BASELINE.json           # regression gate
-//	bench -write-baseline BENCH_BASELINE.json     # refresh the baseline
+//	bench -out BENCH_BASELINE.json                # refresh the baseline
 //
 // Exit codes: 0 ok, 1 regression detected, 2 usage / runtime error.
 package main
@@ -43,7 +43,6 @@ func main() {
 		clockScale = flag.Float64("clock-scale", 1.0, "multiply the device engine clock (for sensitivity checks)")
 		out        = flag.String("out", "", "output JSON path (default BENCH_<date>.json; '-' for stdout)")
 		baseline   = flag.String("baseline", "", "compare against this baseline JSON; exit 1 on regression")
-		writeBase  = flag.String("write-baseline", "", "also write the report to this path (baseline refresh)")
 		maxRegress = flag.Float64("max-regress", 0.05, "allowed relative worsening per metric vs the baseline")
 		trace      = flag.String("trace", "", "write the merged host+device Chrome trace of the final point here")
 		hostReport = flag.Bool("host-report", false, "print the measured host-build breakdown (wall ms + allocs/step) per point")
@@ -144,12 +143,6 @@ func main() {
 		fatalf("%v", err)
 	} else {
 		fmt.Fprintf(info, "wrote %s (%d points, schema v%d)\n", outPath, len(rep.Points), rep.SchemaVersion)
-	}
-	if *writeBase != "" {
-		if err := perf.WriteBenchReport(*writeBase, rep); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Fprintf(info, "wrote baseline %s\n", *writeBase)
 	}
 
 	if *baseline == "" {

@@ -38,6 +38,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: non-positive step count %d\n", *steps)
 		os.Exit(2)
 	}
+	what := "all"
+	if flag.NArg() > 0 {
+		what = flag.Arg(0)
+	}
+	// Check the name before the sweep, which takes minutes at paper sizes.
+	switch what {
+	case "fig4", "fig5", "table1", "table2", "table3", "ablations", "all":
+	default:
+		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", what)
+		os.Exit(2)
+	}
 
 	if err := core.PreflightKernelCheck(kcheck.Mode(), nil, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -57,11 +68,6 @@ func main() {
 	cfg.Theta = float32(*theta)
 	if *verbose {
 		cfg.Progress = os.Stderr
-	}
-
-	what := "all"
-	if flag.NArg() > 0 {
-		what = flag.Arg(0)
 	}
 
 	var rep *perf.BenchReport
@@ -104,9 +110,6 @@ func main() {
 		emit(exp.Table2(rep, *steps))
 		emit(exp.Table3(rep, *steps))
 		runAblations(cfg)
-	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", what)
-		os.Exit(2)
 	}
 }
 

@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/bh"
@@ -135,6 +136,21 @@ func TestExperimentHarnessSmoke(t *testing.T) {
 	} {
 		if len(out) < 50 {
 			t.Errorf("%s: suspiciously short render:\n%s", name, out)
+		}
+	}
+}
+
+// TestCommittedBenchDocumentsAreCurrent reads every BENCH document in the
+// repository root with the reader the baseline gate uses, so a committed file
+// in an older layout fails go test, not a later bench -baseline run.
+func TestCommittedBenchDocumentsAreCurrent(t *testing.T) {
+	paths, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(paths, "sweep_data.json") {
+		if _, err := perf.ReadBenchReport(path); err != nil {
+			t.Error(err)
 		}
 	}
 }

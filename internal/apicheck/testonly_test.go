@@ -22,7 +22,6 @@ var testOnlyKeep = map[string]string{
 	"bh.WalkSet.Validate": "walk invariant checker the property tests drive; CI's hostpath job gates it at zero allocations",
 	"bh.Builder.Reset":    "the arenaescape rule and its arena_* corpus fixtures are written against it",
 	"sim.Run":             "the ctxpropagate rule and its ctx_simrun corpus fixture are written against it",
-	"perf.ReadPlanReport": "internal/lint/schemas.json pins it as PlanReport's reader",
 	"clc.Format":          "the parser's round-trip property test is built on it",
 	"apicheck.Surface":    "renders the API surface golden",
 }

@@ -41,10 +41,6 @@ type Engine struct {
 	// host-side build across evaluations (tree + walks + flatten on the real
 	// machine), next to the modelled HostSeconds.
 	HostBuildSeconds float64
-	// PipelinedTotalSeconds accumulates each evaluation's steady-state
-	// double-buffered cost, max(host, kernel+transfer) — the analytic bound
-	// the executed overlapped timeline approaches as windows grow.
-	PipelinedTotalSeconds float64
 
 	// LastLaunches holds the device results of the most recent Accel call,
 	// for trace export (cl.WriteMergedTrace) and PTPM reports.
@@ -131,7 +127,6 @@ func (e *Engine) account(prof *RunProfile) {
 	e.Evaluations++
 	e.LastLaunches = prof.Launches
 	e.LastProfile = prof
-	e.PipelinedTotalSeconds += prof.Profile.PipelinedSeconds()
 
 	// Place the evaluation on the executed cross-step timeline: the executed
 	// stage schedule gives the host/device split.

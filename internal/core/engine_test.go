@@ -174,9 +174,9 @@ func TestQueueBalance(t *testing.T) {
 
 // TestEngineDualAccounting locks the two time accountings: the serial totals
 // are mode-independent, while the executed timeline shrinks under
-// pipeline.Overlap — bounded below by the steady-state analytic
-// PipelinedTotalSeconds — and coincides with the serial totals under
-// pipeline.Serial.
+// pipeline.Overlap — bounded below by evals times the analytic steady-state
+// step, Profile.PipelinedSeconds() — and coincides with the serial totals
+// under pipeline.Serial.
 func TestEngineDualAccounting(t *testing.T) {
 	sys := ic.Plummer(4096, 1)
 	const evals = 6
@@ -215,9 +215,9 @@ func TestEngineDualAccounting(t *testing.T) {
 		t.Errorf("overlap executed %g not below serial %g",
 			overlap.ExecutedSeconds(), overlap.TotalSeconds())
 	}
-	if overlap.ExecutedSeconds() < overlap.PipelinedTotalSeconds {
+	if floor := evals * overlap.LastProfile.Profile.PipelinedSeconds(); overlap.ExecutedSeconds() < floor {
 		t.Errorf("overlap executed %g below the analytic floor %g",
-			overlap.ExecutedSeconds(), overlap.PipelinedTotalSeconds)
+			overlap.ExecutedSeconds(), floor)
 	}
 	// The executed steady-state per-step cost matches the analytic
 	// Profile.PipelinedSeconds() of a single evaluation.

@@ -74,8 +74,9 @@ func CorpusCases() []CorpusCase {
 			{Rule: "nodeterminism", File: "fix.go", Line: 14},
 		}},
 		{Name: "schema_drift", AsPath: "repro/internal/schemafix", Want: []CorpusWant{
-			{Rule: "schemaversion", File: "fix.go", Line: 13},
-			{Rule: "schemaversion", File: "fix.go", Line: 29},
+			{Rule: "schemaversion", File: "fix.go", Line: 10},
+			{Rule: "schemaversion", File: "fix.go", Line: 27},
+			{Rule: "schemaversion", File: "fix.go", Line: 32},
 		}},
 		{Name: "schema_unpinned", AsPath: "repro/internal/schemafix", Want: []CorpusWant{
 			{Rule: "schemaversion", File: "fix.go", Line: 5},

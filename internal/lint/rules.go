@@ -36,7 +36,7 @@ func Rules() []*Rule {
 			Doc: "no wall clocks or global rand in packages feeding modelled timings",
 			Run: runNoDeterminism},
 		{Name: "schemaversion", Sev: SevError,
-			Doc: "versioned JSON structs must match the pinned schema registry (fingerprint, version const, reader upgrade)",
+			Doc: "versioned JSON structs must match the pinned schema registry (fingerprint, version const, current-version reader)",
 			Run: runSchemaVersion},
 		{Name: "metricname", Sev: SevWarning,
 			Doc: "obs metric registrations use the dotted lowercase convention and one kind per name",

@@ -20,10 +20,12 @@ import (
 // `json:"schema_version"` field is pinned in internal/lint/schemas.json:
 // its field-set fingerprint, the version constant that covers it, the
 // pinned version value, and (for documents that are read back) the reader
-// that must carry a legacy-upgrade branch. Changing the struct without
-// re-pinning — i.e. without bumping the constant and teaching the reader —
-// trips the fingerprint. `repocheck -update-schemas` re-pins after the bump
-// is in place.
+// that decodes them. A reader reads one schema: it must compare the decoded
+// version against the version constant and branch on no literal version, so
+// a bump regenerates the committed documents instead of growing an upgrade
+// chain. Changing the struct without re-pinning — i.e. without bumping the
+// constant — trips the fingerprint. `repocheck -update-schemas` re-pins
+// after the bump is in place.
 
 // schemaEntry pins one versioned struct.
 type schemaEntry struct {
@@ -33,8 +35,10 @@ type schemaEntry struct {
 	VersionConst string `json:"version_const,omitempty"`
 	// Version is the pinned value of that constant.
 	Version int `json:"version"`
-	// Reader names the package function that decodes legacy documents;
-	// empty for write-only schemas.
+	// Reader names the package function that decodes the document and
+	// must accept only the current version; empty for write-only schemas
+	// and for live wire input that keeps accepting an older version
+	// (serve.JobSpec).
 	Reader string `json:"reader,omitempty"`
 	// Fingerprint is an fnv64a hash over the struct's field names, types
 	// and tags, in declaration order.
@@ -97,20 +101,22 @@ func versionedStructs(pkg *types.Package) []*types.TypeName {
 		if !ok || tn.IsAlias() {
 			continue
 		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			tag := parseJSONTag(st.Tag(i))
-			if tag == "schema_version" {
-				out = append(out, tn)
-				break
-			}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok && versionField(st) != "" {
+			out = append(out, tn)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
 	return out
+}
+
+// versionField names the struct's `json:"schema_version"` field, or "".
+func versionField(st *types.Struct) string {
+	for i := 0; i < st.NumFields(); i++ {
+		if parseJSONTag(st.Tag(i)) == "schema_version" {
+			return st.Field(i).Name()
+		}
+	}
+	return ""
 }
 
 // parseJSONTag extracts the json name from a struct tag.
@@ -171,8 +177,8 @@ func lookupTag(tag, key string) (string, bool) {
 
 // runSchemaVersion verifies each versioned struct in the package against
 // the registry: pinned, fingerprint unchanged, version constant at the
-// pinned value, and the reader (when one is named) carrying a branch for at
-// least one legacy version.
+// pinned value, and the reader (when one is named) reading only that
+// version.
 func runSchemaVersion(c *Context) []Diagnostic {
 	var out []Diagnostic
 	scope := c.Pkg.Types.Scope()
@@ -189,7 +195,7 @@ func runSchemaVersion(c *Context) []Diagnostic {
 		st := tn.Type().Underlying().(*types.Struct)
 		if fp := fingerprintStruct(st); fp != entry.Fingerprint {
 			out = append(out, c.diag(tn.Pos(),
-				"%s changed fields since schemas.json pinned v%d: bump %s, add a legacy-upgrade branch to the reader, then run repocheck -update-schemas",
+				"%s changed fields since schemas.json pinned v%d: bump %s, regenerate the committed documents, then run repocheck -update-schemas",
 				tn.Name(), entry.Version, constOrDefault(entry.VersionConst)))
 		}
 		if entry.VersionConst != "" {
@@ -228,10 +234,11 @@ func runSchemaVersion(c *Context) []Diagnostic {
 	return out
 }
 
-// checkSchemaReader verifies that the named reader exists and contains a
-// branch handling at least one legacy version (an integer literal below the
-// pinned version inside its body — the shape ReadBenchReport's 1→2→3
-// upgrade chain and ReadPlanReport's missing-field default both have).
+// checkSchemaReader verifies that the named reader exists, compares against
+// the version constant (ReadBenchReport's `r.SchemaVersion !=
+// BenchSchemaVersion`), and branches on no literal version: comparing the
+// schema_version field with an integer literal is an upgrade branch for a
+// layout the code no longer writes.
 func (c *Context) checkSchemaReader(tn *types.TypeName, entry *schemaEntry) []Diagnostic {
 	var decl *ast.FuncDecl
 	for _, f := range c.Pkg.Files {
@@ -245,22 +252,39 @@ func (c *Context) checkSchemaReader(tn *types.TypeName, entry *schemaEntry) []Di
 		return []Diagnostic{c.diag(tn.Pos(),
 			"schemas.json names reader %s for %s but the package does not define it", entry.Reader, tn.Name())}
 	}
-	hasLegacy := false
+	field := versionField(tn.Type().Underlying().(*types.Struct))
+	vconst := c.Pkg.Types.Scope().Lookup(entry.VersionConst)
+	isVersion := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == field
+	}
+	isLiteral := func(e ast.Expr) bool {
+		lit, ok := e.(*ast.BasicLit)
+		return ok && lit.Kind == token.INT
+	}
+	isConst := func(e ast.Expr) bool {
+		id, ok := e.(*ast.Ident)
+		return ok && vconst != nil && c.Pkg.Info.Uses[id] == vconst
+	}
+	var out []Diagnostic
+	compared := false
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		lit, ok := n.(*ast.BasicLit)
-		if !ok || lit.Kind != token.INT {
-			return true
-		}
-		if v, err := strconv.Atoi(lit.Value); err == nil && v < entry.Version {
-			hasLegacy = true
+		if b, ok := n.(*ast.BinaryExpr); ok {
+			compared = compared || isConst(b.X) || isConst(b.Y)
+			if isVersion(b.X) && isLiteral(b.Y) || isLiteral(b.X) && isVersion(b.Y) {
+				out = append(out, c.diag(b.Pos(),
+					"reader %s branches on a literal %s version; read only %s and regenerate older documents",
+					entry.Reader, tn.Name(), constOrDefault(entry.VersionConst)))
+			}
 		}
 		return true
 	})
-	if !hasLegacy {
-		return []Diagnostic{c.diag(decl.Pos(),
-			"reader %s handles no version below v%d; legacy %s documents would be rejected instead of upgraded", entry.Reader, entry.Version, tn.Name())}
+	if !compared {
+		out = append(out, c.diag(decl.Pos(),
+			"reader %s never compares against %s; it must reject every %s version but the current one",
+			entry.Reader, constOrDefault(entry.VersionConst), tn.Name()))
 	}
-	return nil
+	return out
 }
 
 // diagAtPackage anchors a diagnostic at the package's first file when no

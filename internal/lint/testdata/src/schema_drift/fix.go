@@ -1,10 +1,7 @@
 // Package fix drifts from its pinned schema registry.
 package fix
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "encoding/json"
 
 // DocSchemaVersion is pinned at 2 in schemas.json.
 const DocSchemaVersion = 2
@@ -19,20 +16,21 @@ type Doc struct {
 // LogSchemaVersion is pinned at 3 in schemas.json.
 const LogSchemaVersion = 3
 
-// Log matches its fingerprint, but its reader upgrades nothing.
+// Log matches its fingerprint, but its reader keeps reading an old layout.
 type Log struct {
 	SchemaVersion int      `json:"schema_version"`
 	Lines         []string `json:"lines"`
 }
 
-// ReadLog rejects every legacy version instead of upgrading it.
+// ReadLog upgrades v2 documents in place and never compares against
+// LogSchemaVersion, so it accepts every version.
 func ReadLog(data []byte) (Log, error) {
 	var l Log
 	if err := json.Unmarshal(data, &l); err != nil {
 		return l, err
 	}
-	if l.SchemaVersion != LogSchemaVersion {
-		return l, fmt.Errorf("unsupported schema_version %d", l.SchemaVersion)
+	if l.SchemaVersion == 2 {
+		l.SchemaVersion = 3
 	}
 	return l, nil
 }

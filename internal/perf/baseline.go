@@ -136,10 +136,10 @@ func WriteBenchReport(path string, r *BenchReport) error {
 	return f.Close()
 }
 
-// ReadBenchReport loads a BENCH_*.json file. Older schema versions are
-// upgraded in memory to the current one so baselines captured before a
-// compatible schema bump keep working: a v1 file (which predates pipeline
-// modes) becomes a v2 serial report whose pipelined time equals its total.
+// ReadBenchReport loads a BENCH_*.json file. It reads only the current
+// layout, BENCH v4 with a v1 PlanReport in every point, and rejects any
+// other version rather than upgrading it: an older file is regenerated with
+// cmd/bench -out.
 func ReadBenchReport(path string) (*BenchReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -149,35 +149,15 @@ func ReadBenchReport(path string) (*BenchReport, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("perf: %s: %w", path, err)
 	}
-	if r.SchemaVersion == 0 {
-		return nil, fmt.Errorf("perf: %s: missing schema_version", path)
-	}
-	if r.SchemaVersion == 1 {
-		r.SchemaVersion = 2
-		r.Pipeline = "serial"
-		for i := range r.Points {
-			r.Points[i].PipelinedMS = r.Points[i].TotalMS
-			r.Points[i].SpeedupVsSerial = 1
-		}
-	}
-	if r.SchemaVersion == 2 {
-		// v3 added the measured host-build and allocs-per-step columns; a v2
-		// file simply has them zero, which Compare treats as "no baseline".
-		r.SchemaVersion = 3
-	}
-	if r.SchemaVersion == 3 {
-		// v4 added the activeFraction column and the hermite-block sweep
-		// point. Every v3 point evaluated the whole system, so its active
-		// fraction was 1 by construction; the missing hermite point is simply
-		// absent, which Compare skips (points are matched on plan and N).
-		r.SchemaVersion = 4
-		for i := range r.Points {
-			r.Points[i].ActiveFraction = 1
-		}
-	}
-	if r.SchemaVersion > BenchSchemaVersion {
-		return nil, fmt.Errorf("perf: %s: schema v%d is newer than this binary's v%d",
+	if r.SchemaVersion != BenchSchemaVersion {
+		return nil, fmt.Errorf("perf: %s: BENCH schema v%d, want v%d; regenerate it with cmd/bench -out",
 			path, r.SchemaVersion, BenchSchemaVersion)
+	}
+	for _, pt := range r.Points {
+		if pt.Report.SchemaVersion != PlanReportSchemaVersion {
+			return nil, fmt.Errorf("perf: %s: %s N=%d: plan report schema v%d, want v%d; regenerate it with cmd/bench -out",
+				path, pt.Plan, pt.N, pt.Report.SchemaVersion, PlanReportSchemaVersion)
+		}
 	}
 	return &r, nil
 }

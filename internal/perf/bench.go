@@ -22,15 +22,13 @@ import (
 )
 
 // BenchSchemaVersion identifies the BENCH_*.json layout; bump on breaking
-// changes so baseline comparisons refuse to diff incompatible files.
+// changes and regenerate the committed BENCH files with cmd/bench -out,
+// because ReadBenchReport reads only the current version.
 //
 // v2 added the pipeline mode and the per-point pipelined time / speedup
 // columns; v3 added the measured host-build time and allocations-per-step
 // columns; v4 added the per-point activeFraction column and the Hermite
-// block-timestep sweep point. ReadBenchReport upgrades older files in memory
-// (v1: serial mode, pipelined == total; v2: the new measured columns stay
-// zero, which Compare skips because zero baselines compare equal; v3: every
-// point ran with the full system active, so activeFraction becomes 1).
+// block-timestep sweep point.
 const BenchSchemaVersion = 4
 
 // PlanNames lists the four plans in the paper's presentation order.
@@ -348,8 +346,8 @@ func RunBenchContext(ctx context.Context, cfg BenchConfig) (*BenchReport, error)
 }
 
 // hermiteBlockPlan names the Hermite sweep point. It is deliberately not a
-// core plan name: Compare matches points on (plan, N), so old baselines
-// simply skip it instead of mis-diffing it against a force-only point.
+// core plan name, so Compare, which matches points on (plan, N), never
+// diffs it against a force-only point.
 const hermiteBlockPlan = "hermite-block"
 
 // hermitePoint measures the Hermite block-timestep integrator end to end on
@@ -363,7 +361,8 @@ func hermitePoint(ctx context.Context, cfg BenchConfig, repeats int) (BenchPoint
 	const outerSteps = 2
 	outerDT := float32(1.0 / 16)
 
-	var wall, kernel, total, gflops, active []float64
+	var wall, kernel, transfer, host, total, gflops, active []float64
+	var last *core.RunProfile
 	for r := 0; r < repeats; r++ {
 		plan, err := newPlan("i-parallel", cfg.Device, cfg.Theta, cfg.Eps)
 		if err != nil {
@@ -390,9 +389,12 @@ func hermitePoint(ctx context.Context, cfg BenchConfig, repeats int) (BenchPoint
 		}
 		wall = append(wall, wallSec*1e3/outerSteps)
 		kernel = append(kernel, eng.KernelSeconds*1e3/outerSteps)
+		transfer = append(transfer, eng.TransferSeconds*1e3/outerSteps)
+		host = append(host, eng.HostSeconds*1e3/outerSteps)
 		total = append(total, eng.TotalSeconds()*1e3/outerSteps)
 		gflops = append(gflops, eng.SustainedGFLOPS())
 		active = append(active, integ.MeanActiveFraction())
+		last = eng.LastProfile
 	}
 	var meanActive float64
 	for _, a := range active {
@@ -405,12 +407,15 @@ func hermitePoint(ctx context.Context, cfg BenchConfig, repeats int) (BenchPoint
 		Plan:            hermiteBlockPlan,
 		N:               n,
 		KernelMS:        newStat(kernel),
+		TransferMS:      newStat(transfer),
+		HostMS:          newStat(host),
 		TotalMS:         newStat(total),
 		WallMS:          newStat(wall),
 		KernelGFLOPS:    newStat(gflops),
 		PipelinedMS:     newStat(total),
 		SpeedupVsSerial: 1,
 		ActiveFraction:  meanActive,
+		Report:          BuildPlanReport(cfg.Device, last),
 	}, nil
 }
 

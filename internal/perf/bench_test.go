@@ -3,6 +3,8 @@ package perf
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -57,15 +59,22 @@ func TestRunBenchStructure(t *testing.T) {
 			t.Errorf("%s N=%d: modelled kernel time varies across repeats: %+v",
 				pt.Plan, pt.N, pt.KernelMS)
 		}
+		// Every modelled millisecond of the total has a column.
+		if sum := pt.KernelMS.Mean + pt.TransferMS.Mean + pt.HostMS.Mean; math.Abs(sum-pt.TotalMS.Mean) > 1e-12*pt.TotalMS.Mean {
+			t.Errorf("%s N=%d: kernel %g + transfer %g + host %g = %g, total %g",
+				pt.Plan, pt.N, pt.KernelMS.Mean, pt.TransferMS.Mean, pt.HostMS.Mean, sum, pt.TotalMS.Mean)
+		}
 		if pt.Plan == hermiteBlockPlan {
 			sawHermite = true
 			if pt.ActiveFraction <= 0 || pt.ActiveFraction >= 1 {
 				t.Errorf("hermite-block active fraction %g not in (0,1)", pt.ActiveFraction)
 			}
-			continue // no per-kernel report: the point aggregates many launches
-		}
-		if pt.ActiveFraction != 1 {
+		} else if pt.ActiveFraction != 1 {
 			t.Errorf("%s N=%d: active fraction %g, want 1", pt.Plan, pt.N, pt.ActiveFraction)
+		}
+		if pt.Report.SchemaVersion != PlanReportSchemaVersion {
+			t.Errorf("%s N=%d: plan report schema v%d, want v%d",
+				pt.Plan, pt.N, pt.Report.SchemaVersion, PlanReportSchemaVersion)
 		}
 		if len(pt.Report.Kernels) == 0 {
 			t.Errorf("%s N=%d: no kernel reports", pt.Plan, pt.N)
@@ -335,46 +344,41 @@ func TestVerifyOverlapBeatsSerialDetectsViolation(t *testing.T) {
 	}
 }
 
-// TestReadBenchReportUpgradesV1 writes a v1-shaped file (no pipeline field,
-// no pipelined columns) and checks the reader upgrades it to a comparable v2
-// report.
-func TestReadBenchReportUpgradesV1(t *testing.T) {
+// TestReadBenchReportRejectsOtherVersions: the reader takes only the current
+// layout. Every other BENCH version, and a current file with one point whose
+// embedded plan report has another version, fails with an error that names
+// the file, the version found and the fix.
+func TestReadBenchReportRejectsOtherVersions(t *testing.T) {
 	rep := getBench(t)
-	old := *rep
-	old.SchemaVersion = 1
-	old.Pipeline = ""
-	old.Points = append([]BenchPoint(nil), rep.Points...)
-	for i := range old.Points {
-		old.Points[i].PipelinedMS = Stat{}
-		old.Points[i].SpeedupVsSerial = 0
+	cases := []struct {
+		bench, point int
+		found        string
+	}{
+		{0, PlanReportSchemaVersion, "BENCH schema v0,"},
+		{1, PlanReportSchemaVersion, "BENCH schema v1,"},
+		{3, PlanReportSchemaVersion, "BENCH schema v3,"},
+		{5, PlanReportSchemaVersion, "BENCH schema v5,"},
+		{BenchSchemaVersion, 0, "plan report schema v0,"},
 	}
-	var buf bytes.Buffer
-	if err := old.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "bench_v1.json")
-	if err := writeFile(path, buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBenchReport(path)
-	if err != nil {
-		t.Fatalf("ReadBenchReport: %v", err)
-	}
-	if got.SchemaVersion != BenchSchemaVersion || got.Pipeline != "serial" {
-		t.Fatalf("upgrade produced v%d pipeline=%q", got.SchemaVersion, got.Pipeline)
-	}
-	for _, pt := range got.Points {
-		if pt.PipelinedMS != pt.TotalMS || pt.SpeedupVsSerial != 1 {
-			t.Fatalf("%s N=%d: v1 point not upgraded: %+v", pt.Plan, pt.N, pt.PipelinedMS)
+	for _, c := range cases {
+		doc := *rep
+		doc.SchemaVersion = c.bench
+		doc.Points = append([]BenchPoint(nil), rep.Points...)
+		doc.Points[len(doc.Points)-1].Report.SchemaVersion = c.point
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("bench_v%d_report_v%d.json", c.bench, c.point))
+		if err := WriteBenchReport(path, &doc); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The upgraded baseline must be comparable against a fresh v2 report.
-	regs, _, err := Compare(got, rep, fivePercent)
-	if err != nil {
-		t.Fatalf("Compare(v1-upgraded, v2): %v", err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("upgraded baseline regressed against itself: %v", regs)
+		_, err := ReadBenchReport(path)
+		if err == nil {
+			t.Errorf("BENCH v%d with a v%d plan report accepted", c.bench, c.point)
+			continue
+		}
+		for _, want := range []string{path, c.found, "cmd/bench -out"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not contain %q", err, want)
+			}
+		}
 	}
 }
 

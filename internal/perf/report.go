@@ -2,19 +2,18 @@ package perf
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"repro/internal/core"
 	"repro/internal/gpusim"
 )
 
-// PlanReportSchemaVersion identifies the perf-report JSON layout; bump on
-// breaking changes so downstream tooling refuses to parse files it does not
-// understand.
+// PlanReportSchemaVersion identifies the perf-report JSON layout that
+// nbody -perf-report writes and every BENCH point embeds; bump on breaking
+// changes, which ReadBenchReport then refuses until the BENCH files are
+// regenerated.
 //
-// v1 is the original layout plus the schema_version field itself;
-// ReadPlanReport accepts legacy files without the field.
+// v1 is the original layout plus the schema_version field itself.
 const PlanReportSchemaVersion = 1
 
 // PlanReport is the full perf analysis of one (plan, N) force evaluation:
@@ -73,22 +72,4 @@ func (r PlanReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// ReadPlanReport decodes a perf-report document. Files from before the
-// schema_version field are upgraded in memory to v1 (the layout did not
-// change); files from a newer schema are rejected.
-func ReadPlanReport(rd io.Reader) (PlanReport, error) {
-	var r PlanReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return r, fmt.Errorf("perf: plan report: %w", err)
-	}
-	if r.SchemaVersion == 0 {
-		r.SchemaVersion = PlanReportSchemaVersion
-	}
-	if r.SchemaVersion > PlanReportSchemaVersion {
-		return r, fmt.Errorf("perf: plan report schema v%d is newer than this binary's v%d",
-			r.SchemaVersion, PlanReportSchemaVersion)
-	}
-	return r, nil
 }

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -72,33 +73,11 @@ func TestPlanReportRoundTrip(t *testing.T) {
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPlanReport(&buf)
-	if err != nil {
+	var got PlanReport
+	if err := json.NewDecoder(&buf).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rep, got) {
 		t.Fatalf("round trip changed the report:\n in %+v\nout %+v", rep, got)
-	}
-}
-
-func TestReadPlanReportUpgradesLegacy(t *testing.T) {
-	// A pre-versioning file has no schema_version; it decodes as v1.
-	legacy := `{"plan":"jw-parallel","n":64,"interactions":10,"flops":230}`
-	got, err := ReadPlanReport(strings.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SchemaVersion != PlanReportSchemaVersion {
-		t.Fatalf("legacy file upgraded to v%d, want v%d", got.SchemaVersion, PlanReportSchemaVersion)
-	}
-	if got.Plan != "jw-parallel" || got.N != 64 {
-		t.Fatalf("legacy fields lost: %+v", got)
-	}
-}
-
-func TestReadPlanReportRejectsNewerSchema(t *testing.T) {
-	future := `{"schema_version":99,"plan":"jw-parallel","n":64}`
-	if _, err := ReadPlanReport(strings.NewReader(future)); err == nil {
-		t.Fatal("future schema accepted")
 	}
 }
