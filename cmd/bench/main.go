@@ -43,7 +43,7 @@ func main() {
 		clockScale = flag.Float64("clock-scale", 1.0, "multiply the device engine clock (for sensitivity checks)")
 		out        = flag.String("out", "", "output JSON path (default BENCH_<date>.json; '-' for stdout)")
 		baseline   = flag.String("baseline", "", "compare against this baseline JSON; exit 1 on regression")
-		maxRegress = flag.Float64("max-regress", 0.05, "allowed relative worsening per metric vs the baseline")
+		maxRegress = flag.Float64("max-regress", 0.05, "allowed relative worsening per metric vs the baseline (0 = exact)")
 		trace      = flag.String("trace", "", "write the merged host+device Chrome trace of the final point here")
 		hostReport = flag.Bool("host-report", false, "print the measured host-build breakdown (wall ms + allocs/step) per point")
 	)
@@ -52,6 +52,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bench: unexpected arguments %q\n", flag.Args())
 		flag.Usage()
 		os.Exit(2)
+	}
+
+	if *maxRegress < 0 {
+		fatalf("negative -max-regress %g (0 is an exact gate)", *maxRegress)
 	}
 
 	if err := core.PreflightKernelCheck(kcheck.Mode(), nil, os.Stderr); err != nil {

@@ -52,7 +52,9 @@ func (p *IParallel) ensureBuffers(n int) {
 	p.hostOut = resize(p.hostOut, 4*nPad)
 }
 
-// kernel returns the i-parallel force kernel bound to the current buffers.
+// kernel returns the i-parallel force kernel bound to the current buffers:
+// lane l of work-group gid owns body gid*LocalSize+l and runs the i
+// mapping's tile loop over all nPad sources.
 func (p *IParallel) kernel() gpusim.KernelFunc {
 	nPad := p.nPad
 	g := p.Params.G
@@ -60,48 +62,69 @@ func (p *IParallel) kernel() gpusim.KernelFunc {
 	posm := p.bufPosM
 	out := p.bufAcc
 
-	return gpusim.PerItem(func(wi *gpusim.Item) {
-		i := wi.GlobalID()
-		l := wi.LocalID()
-		ls := wi.LocalSize()
-		src := wi.RawGlobalF32(posm)
-		dst := wi.RawGlobalF32(out)
-		lds := wi.RawLDS()
+	return func(grp *gpusim.Group) {
+		ls := grp.LocalSize()
+		base := grp.ID() * ls
+		lead := grp.Item(0)
+		src := lead.RawGlobalF32(posm)
+		dst := lead.RawGlobalF32(out)
+		px, py, pz := grp.LaneF32(0), grp.LaneF32(1), grp.LaneF32(2)
+		ax, ay, az := grp.LaneF32(3), grp.LaneF32(4), grp.LaneF32(5)
 
 		// Load own position (4 coalesced floats).
-		wi.ChargeGlobal(16, 0)
-		px, py, pz := src[4*i], src[4*i+1], src[4*i+2]
-		var ax, ay, az float32
-
-		tiles := nPad / ls
-		for t := 0; t < tiles; t++ {
-			// Stage one source per lane into local memory.
-			j := t*ls + l
-			wi.ChargeGlobal(16, 0)
-			wi.ChargeLDS(16)
-			lds[4*l+0] = src[4*j+0]
-			lds[4*l+1] = src[4*j+1]
-			lds[4*l+2] = src[4*j+2]
-			lds[4*l+3] = src[4*j+3]
-			wi.Barrier()
-
-			// Consume the tile: ls interactions per lane out of local
-			// memory. Charged in bulk; the arithmetic below is the same
-			// softened kernel as the CPU reference.
-			wi.ChargeLDS(16 * ls)
-			wi.Flops(pp.FlopsPerInteraction * ls)
-			wi.Aux(2 * ls) // loop control and LDS address arithmetic
-			ax, ay, az = pp.AccumulateTile(px, py, pz, ax, ay, az, lds[:4*ls], eps2)
-			wi.Barrier()
+		for l := 0; l < ls; l++ {
+			i := base + l
+			grp.Item(l).ChargeGlobal(16, 0)
+			px[l], py[l], pz[l] = src[4*i], src[4*i+1], src[4*i+2]
 		}
 
+		iTileLoop(grp, nPad/ls, 4, pp.FlopsPerInteraction,
+			func(j int, slot []float32) { copy(slot, src[4*j:4*j+4]) },
+			func(l int, tile []float32) {
+				ax[l], ay[l], az[l] = pp.AccumulateTile(px[l], py[l], pz[l], ax[l], ay[l], az[l], tile, eps2)
+			})
+
 		// Store the result (padding lanes write padding slots).
-		wi.ChargeGlobal(16, 0)
-		dst[4*i+0] = ax * g
-		dst[4*i+1] = ay * g
-		dst[4*i+2] = az * g
-		dst[4*i+3] = 0
-	})
+		for l := 0; l < ls; l++ {
+			i := base + l
+			grp.Item(l).ChargeGlobal(16, 0)
+			dst[4*i+0] = ax[l] * g
+			dst[4*i+1] = ay[l] * g
+			dst[4*i+2] = az[l] * g
+			dst[4*i+3] = 0
+		}
+	}
+}
+
+// iTileLoop is the time axis of the i mapping, shared by the i-parallel
+// force and jerk kernels: the group's lanes consume the sources in tiles of
+// LocalSize, width floats each. Per tile, each lane l stages source
+// t*LocalSize+l into its slot of local memory through stage, a barrier
+// follows, each lane folds the whole tile into its running sums with one
+// leaf call through consume, and a second barrier follows. A staged source
+// is charged as a coalesced global read and a local write; a consumed tile
+// as a local read of every source, flops useful operations per source and
+// two of loop control and address arithmetic.
+func iTileLoop(grp *gpusim.Group, tiles, width, flops int, stage func(j int, slot []float32), consume func(l int, tile []float32)) {
+	ls := grp.LocalSize()
+	tile := grp.Item(0).RawLDS()[:width*ls]
+	for t := 0; t < tiles; t++ {
+		for l := 0; l < ls; l++ {
+			wi := grp.Item(l)
+			wi.ChargeGlobal(4*width, 0)
+			wi.ChargeLDS(4 * width)
+			stage(t*ls+l, tile[width*l:width*(l+1)])
+		}
+		grp.Barrier()
+		for l := 0; l < ls; l++ {
+			wi := grp.Item(l)
+			wi.ChargeLDS(4 * width * ls)
+			wi.Flops(flops * ls)
+			wi.Aux(2 * ls)
+			consume(l, tile)
+		}
+		grp.Barrier()
+	}
 }
 
 // graph builds the plan's stage graph: upload positions, launch the force

@@ -45,9 +45,11 @@ const jerkJGroup = 64
 //     local memory. Chosen when the block is too small for i-parallel
 //     occupancy.
 //
-// Both kernels call pp.AccumulateJerkInto. The i-parallel kernel sums the
-// sources in body order, so its output is bit-identical to the CPU reference
-// pp.ScalarJerk; the j-parallel kernel's strided partial sums and tree
+// Both kernels compute each interaction with pp.AccumulateJerkInto. The
+// i-parallel kernel is a lane loop over the force path's i-mapping tile loop
+// (iTileLoop) whose leaf is pp.AccumulateJerkTile; it sums the sources in
+// body order, so its output is bit-identical to the CPU reference
+// pp.ScalarJerk. The j-parallel kernel's strided partial sums and tree
 // reduction change the summation order, so it agrees only to rounding.
 // TestJerkKernelsBitwiseGolden pins both.
 type jerkUnit struct {
@@ -107,10 +109,11 @@ func (u *jerkUnit) ensureBuffers(n, activeN int) {
 	u.hostActive = resize(u.hostActive, u.activePad)
 }
 
-// iKernel is the i-parallel jerk kernel: work-item k serves active body
-// hostActive[k]; the j-loop tiles all nPad sources through local memory,
-// 7 floats per lane (x,y,z,m,vx,vy,vz). Padding work-items recompute body
-// hostActive[0] into padding output slots, which the host never reads.
+// iKernel is the i-parallel jerk kernel: lane l of work-group gid serves
+// active body hostActive[gid*LocalSize+l] and runs the i mapping's tile loop
+// over all nPad sources, 7 floats per lane (x,y,z,m,vx,vy,vz). Padding lanes
+// recompute body hostActive[0] into padding output slots, which the host
+// never reads.
 func (u *jerkUnit) iKernel() gpusim.KernelFunc {
 	nPad := u.nPad
 	g := u.params.G
@@ -118,67 +121,52 @@ func (u *jerkUnit) iKernel() gpusim.KernelFunc {
 	posm, vel, idx := u.bufPosM, u.bufVel, u.bufActive
 	accOut, jerkOut := u.bufAcc, u.bufJerk
 
-	return gpusim.PerItem(func(wi *gpusim.Item) {
-		k := wi.GlobalID()
-		l := wi.LocalID()
-		ls := wi.LocalSize()
-		ids := wi.RawGlobalI32(idx)
-		srcP := wi.RawGlobalF32(posm)
-		srcV := wi.RawGlobalF32(vel)
-		dstA := wi.RawGlobalF32(accOut)
-		dstJ := wi.RawGlobalF32(jerkOut)
-		lds := wi.RawLDS()
+	return func(grp *gpusim.Group) {
+		ls := grp.LocalSize()
+		base := grp.ID() * ls
+		lead := grp.Item(0)
+		ids := lead.RawGlobalI32(idx)
+		srcP := lead.RawGlobalF32(posm)
+		srcV := lead.RawGlobalF32(vel)
+		dstA := lead.RawGlobalF32(accOut)
+		dstJ := lead.RawGlobalF32(jerkOut)
+		px, py, pz := grp.LaneF32(0), grp.LaneF32(1), grp.LaneF32(2)
+		vx, vy, vz := grp.LaneF32(3), grp.LaneF32(4), grp.LaneF32(5)
+		ax, ay, az := grp.LaneF32(6), grp.LaneF32(7), grp.LaneF32(8)
+		jx, jy, jz := grp.LaneF32(9), grp.LaneF32(10), grp.LaneF32(11)
 
 		// Own index, position and velocity (coalesced across the group).
-		wi.ChargeGlobal(4+16+12, 0)
-		i := int(ids[k])
-		px, py, pz := srcP[4*i], srcP[4*i+1], srcP[4*i+2]
-		vx, vy, vz := srcV[4*i], srcV[4*i+1], srcV[4*i+2]
-		var ax, ay, az, jx, jy, jz float32
-
-		tiles := nPad / ls
-		for t := 0; t < tiles; t++ {
-			// Stage one source (position+mass and velocity) per lane.
-			j := t*ls + l
-			wi.ChargeGlobal(16+12, 0)
-			wi.ChargeLDS(28)
-			lds[7*l+0] = srcP[4*j+0]
-			lds[7*l+1] = srcP[4*j+1]
-			lds[7*l+2] = srcP[4*j+2]
-			lds[7*l+3] = srcP[4*j+3]
-			lds[7*l+4] = srcV[4*j+0]
-			lds[7*l+5] = srcV[4*j+1]
-			lds[7*l+6] = srcV[4*j+2]
-			wi.Barrier()
-
-			wi.ChargeLDS(28 * ls)
-			wi.Flops(pp.FlopsPerJerkInteraction * ls)
-			wi.Aux(2 * ls)
-			for s := 0; s < ls; s++ {
-				a, jk := pp.AccumulateJerkInto(px, py, pz, vx, vy, vz,
-					lds[7*s+0], lds[7*s+1], lds[7*s+2],
-					lds[7*s+4], lds[7*s+5], lds[7*s+6],
-					lds[7*s+3], eps2)
-				ax += a.X
-				ay += a.Y
-				az += a.Z
-				jx += jk.X
-				jy += jk.Y
-				jz += jk.Z
-			}
-			wi.Barrier()
+		for l := 0; l < ls; l++ {
+			grp.Item(l).ChargeGlobal(4+16+12, 0)
+			i := int(ids[base+l])
+			px[l], py[l], pz[l] = srcP[4*i], srcP[4*i+1], srcP[4*i+2]
+			vx[l], vy[l], vz[l] = srcV[4*i], srcV[4*i+1], srcV[4*i+2]
 		}
 
-		wi.ChargeGlobal(32, 0)
-		dstA[4*k+0] = ax * g
-		dstA[4*k+1] = ay * g
-		dstA[4*k+2] = az * g
-		dstA[4*k+3] = 0
-		dstJ[4*k+0] = jx * g
-		dstJ[4*k+1] = jy * g
-		dstJ[4*k+2] = jz * g
-		dstJ[4*k+3] = 0
-	})
+		iTileLoop(grp, nPad/ls, 7, pp.FlopsPerJerkInteraction,
+			func(j int, slot []float32) {
+				copy(slot[:4], srcP[4*j:4*j+4])
+				copy(slot[4:], srcV[4*j:4*j+3])
+			},
+			func(l int, tile []float32) {
+				ax[l], ay[l], az[l], jx[l], jy[l], jz[l] = pp.AccumulateJerkTile(
+					px[l], py[l], pz[l], vx[l], vy[l], vz[l],
+					ax[l], ay[l], az[l], jx[l], jy[l], jz[l], tile, eps2)
+			})
+
+		for l := 0; l < ls; l++ {
+			k := base + l
+			grp.Item(l).ChargeGlobal(32, 0)
+			dstA[4*k+0] = ax[l] * g
+			dstA[4*k+1] = ay[l] * g
+			dstA[4*k+2] = az[l] * g
+			dstA[4*k+3] = 0
+			dstJ[4*k+0] = jx[l] * g
+			dstJ[4*k+1] = jy[l] * g
+			dstJ[4*k+2] = jz[l] * g
+			dstJ[4*k+3] = 0
+		}
+	}
 }
 
 // jKernel is the j-parallel jerk kernel: one work-group per active body;

@@ -196,12 +196,13 @@ func (e *Engine) jerkGroupForTest() int {
 // TestJerkKernelsBitwiseGolden pins both jerk kernels bit for bit on the
 // HD 5850 model, one active set on each side of selectPlan's crossover
 // (activeN >= ComputeUnits x iGroup = 4608): every body of Plummer(4608, 42)
-// runs i-parallel, every 8th body of Plummer(1024, 42) runs j-parallel. Each
-// row holds FNV-1a 64 over the little-endian float32 bits of each active
-// body's acceleration then jerk, in active order, and the modelled kernel
-// seconds. The i-parallel kernel also matches pp.ScalarJerk bit for bit;
-// j-parallel does not, because its strided partial sums and tree reduction
-// change the summation order.
+// runs i-parallel, and so does every body of Plummer(4700, 42), whose active
+// block pads to 4864 lanes; every 8th body of Plummer(1024, 42) runs
+// j-parallel. Each row holds FNV-1a 64 over the little-endian float32 bits
+// of each active body's acceleration then jerk, in active order, and the
+// modelled kernel seconds. The i-parallel kernel also matches pp.ScalarJerk
+// bit for bit; j-parallel does not, because its strided partial sums and
+// tree reduction change the summation order.
 func TestJerkKernelsBitwiseGolden(t *testing.T) {
 	golden := []struct {
 		plan          string
@@ -210,6 +211,7 @@ func TestJerkKernelsBitwiseGolden(t *testing.T) {
 		kernelSeconds float64
 	}{
 		{"i-parallel", 4608, 1, 0xb17bc3f04321c93f, 0.0010279406896551724},
+		{"i-parallel", 4700, 1, 0xe8f835e50cc29d0e, 0.0021600510344827583},
 		{"j-parallel", 1024, 8, 0x40fd605493335781, 4.7110068965517238e-05},
 	}
 	params := pp.DefaultParams()

@@ -86,19 +86,9 @@ func jwKernel(b jwBuffers, g, eps2 float32, staged bool) gpusim.KernelFunc {
 				}
 			} else {
 				// Ablation: per-lane streaming, as in w-parallel.
+				list := lists[base : base+llen]
 				for l := 0; l < active; l++ {
-					wi := grp.Item(l)
-					wi.ChargeGlobal(20*llen, 0)
-					wi.Flops(pp.FlopsPerInteraction * llen)
-					wi.Aux(3 * llen)
-					var x, y, z float32
-					for e := 0; e < llen; e++ {
-						idx := lists[base+e]
-						fx, fy, fz := pp.AccumulateInto(px[l], py[l], pz[l],
-							src[4*idx], src[4*idx+1], src[4*idx+2], src[4*idx+3], eps2)
-						x, y, z = x+fx, y+fy, z+fz
-					}
-					ax[l], ay[l], az[l] = x, y, z
+					ax[l], ay[l], az[l] = streamList(grp.Item(l), px[l], py[l], pz[l], list, src, eps2)
 				}
 			}
 

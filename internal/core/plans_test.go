@@ -199,7 +199,9 @@ func TestJWQueueingCoversAllBodies(t *testing.T) {
 // ic.Plummer(n, 42). Any change to enqueue order, kernel arithmetic, or the
 // cost model shows up here. The jw-parallel-xK rows pin the multi-device
 // plan's walk sharding and per-device queueing the same way, and the
-// unstaged jw-parallel rows pin the DisableLDSStaging ablation.
+// unstaged jw-parallel rows pin the DisableLDSStaging ablation. The N 333
+// rows give i-parallel padding lanes and w-parallel walks shorter than its
+// work-group.
 func TestPlansBitwiseGolden(t *testing.T) {
 	golden := []struct {
 		plan            string
@@ -223,6 +225,8 @@ func TestPlansBitwiseGolden(t *testing.T) {
 		{"jw-parallel-x4", false, 4096, 0xaa818f6a27219b31, 0.00031470055617352618, 0.00051455272727272722},
 		{"jw-parallel", true, 1024, 0xad5478fe19182552, 0.00048935244181034479, 0.00014650181818181846},
 		{"jw-parallel", true, 4096, 0xaa818f6a27219b31, 0.0019271874698275869, 0.00051479272727272644},
+		{"i-parallel", false, 333, 0xc695eb6ff3f41eae, 8.2489121245828701e-05, 3.29789090909091e-05},
+		{"w-parallel", false, 333, 0xf3c68e21670d3cf4, 0.0004310255431034482, 7.9650181818181806e-05},
 	}
 	for _, g := range golden {
 		sys := ic.Plummer(g.n, 42)
@@ -291,6 +295,32 @@ func TestPlansBitwiseGolden(t *testing.T) {
 		} else if !relClose(sched.DeviceSeconds(), dev) {
 			t.Errorf("%s n=%d: schedule device %.17g, kernel+transfer %.17g",
 				g.plan, g.n, sched.DeviceSeconds(), dev)
+		}
+	}
+}
+
+// TestLaneLoopPlanAllocsFlatInN requires a warm Accel of each lane-loop plan
+// to allocate about as often at N 4096 as at N 256. A lane-loop launch
+// allocates per worker and per launch, never per work-group or work-item,
+// and AllocsPerRun runs on one worker.
+func TestLaneLoopPlanAllocsFlatInN(t *testing.T) {
+	for _, name := range []string{"i-parallel", "w-parallel", "jw-parallel"} {
+		allocs := func(n int) float64 {
+			plan, err := NewPlanByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := ic.Plummer(n, 42)
+			return testing.AllocsPerRun(3, func() {
+				if _, err := plan.Accel(sys); err != nil {
+					t.Fatalf("%s n=%d: %v", name, n, err)
+				}
+			})
+		}
+		small, big := allocs(256), allocs(4096)
+		t.Logf("%s: %.0f allocs per warm Accel at N 256, %.0f at N 4096", name, small, big)
+		if big > small+2 {
+			t.Errorf("%s: %.0f allocs per warm Accel at N 4096, %.0f at N 256: allocations grow with N", name, big, small)
 		}
 	}
 }

@@ -59,55 +59,55 @@ func (p *WParallel) SetObs(o *obs.Obs) {
 // lists (0 = GOMAXPROCS, 1 = serial); the tree build is always serial.
 func (p *WParallel) SetHostWorkers(n int) { p.data.builder.Workers = n }
 
-// kernel returns the w-parallel force kernel bound to the current buffers.
+// kernel returns the w-parallel force kernel bound to the current buffers:
+// work-group w runs walk w, and each lane l < min(count, LocalSize) streams
+// the walk's list for body first+l; the other lanes idle.
 func (p *WParallel) kernel() gpusim.KernelFunc {
 	g := p.Opt.G
 	eps2 := p.Opt.Eps * p.Opt.Eps
 	bufSrc, bufPos, bufLists, bufDesc, bufAcc := p.bufSrc, p.bufPos, p.bufLists, p.bufDesc, p.bufAcc
 
-	return gpusim.PerItem(func(wi *gpusim.Item) {
-		w := wi.GroupID() // one work-group per walk
-		l := wi.LocalID()
-		desc := wi.RawGlobalI32(bufDesc)
-		lists := wi.RawGlobalI32(bufLists)
-		src := wi.RawGlobalF32(bufSrc)
-		posm := wi.RawGlobalF32(bufPos)
-		acc := wi.RawGlobalF32(bufAcc)
+	return func(grp *gpusim.Group) {
+		w := grp.ID() // one work-group per walk
+		lead := grp.Item(0)
+		desc := lead.RawGlobalI32(bufDesc)
+		lists := lead.RawGlobalI32(bufLists)
+		src := lead.RawGlobalF32(bufSrc)
+		posm := lead.RawGlobalF32(bufPos)
+		acc := lead.RawGlobalF32(bufAcc)
 
-		if l == 0 {
-			wi.ChargeGlobal(16, 0) // descriptor broadcast
-		}
+		lead.ChargeGlobal(16, 0) // descriptor broadcast
 		first := int(desc[w*bhDescStride+0])
 		count := int(desc[w*bhDescStride+1])
 		base := int(desc[w*bhDescStride+2])
 		llen := int(desc[w*bhDescStride+3])
+		list := lists[base : base+llen]
 
-		if l >= count {
-			return // idle lane: the walk has fewer bodies than the group
+		for l := 0; l < min(count, grp.LocalSize()); l++ {
+			wi := grp.Item(l)
+			slot := first + l
+			wi.ChargeGlobal(16, 0) // own position
+			ax, ay, az := streamList(wi, posm[4*slot], posm[4*slot+1], posm[4*slot+2], list, src, eps2)
+			wi.ChargeGlobal(16, 0) // result
+			acc[4*slot+0] = ax * g
+			acc[4*slot+1] = ay * g
+			acc[4*slot+2] = az * g
+			acc[4*slot+3] = 0
 		}
-		slot := first + l
-		wi.ChargeGlobal(16, 0)
-		px, py, pz := posm[4*slot], posm[4*slot+1], posm[4*slot+2]
+	}
+}
 
-		// Per-lane streaming of the shared list: each lane pays for the
-		// entry index (4B) and the source float4 (16B) itself.
-		wi.ChargeGlobal(20*llen, 0)
-		wi.Flops(pp.FlopsPerInteraction * llen)
-		wi.Aux(3 * llen)
-		var ax, ay, az float32
-		for e := 0; e < llen; e++ {
-			idx := lists[base+e]
-			x, y, z := pp.AccumulateInto(px, py, pz,
-				src[4*idx], src[4*idx+1], src[4*idx+2], src[4*idx+3], eps2)
-			ax, ay, az = ax+x, ay+y, az+z
-		}
-
-		wi.ChargeGlobal(16, 0)
-		acc[4*slot+0] = ax * g
-		acc[4*slot+1] = ay * g
-		acc[4*slot+2] = az * g
-		acc[4*slot+3] = 0
-	})
+// streamList is one lane of the w mapping: the lane streams the shared
+// interaction list from global memory itself, paying for each entry's index
+// (4B) and source float4 (16B), and returns its body's summed acceleration
+// from the pp.AccumulateGather leaf. jwKernel's unstaged ablation uses it
+// too.
+func streamList(wi *gpusim.Item, px, py, pz float32, list []int32, src []float32, eps2 float32) (ax, ay, az float32) {
+	n := len(list)
+	wi.ChargeGlobal(20*n, 0)
+	wi.Flops(pp.FlopsPerInteraction * n)
+	wi.Aux(3 * n)
+	return pp.AccumulateGather(px, py, pz, list, src, eps2)
 }
 
 // graph builds the plan's stage graph: the treecode host front (tree, list),

@@ -10,7 +10,8 @@ import (
 // Thresholds are the allowed relative worsenings per metric when comparing a
 // bench report against a baseline. All modelled metrics are deterministic,
 // so the margins exist to absorb intentional small calibration tweaks, not
-// measurement noise; anything past them is a regression.
+// measurement noise; anything past them is a regression. A zero threshold
+// is an exact gate: any worsening at all is a regression.
 type Thresholds struct {
 	// KernelMS / TotalMS: allowed fractional increase of the mean modelled
 	// kernel / total time (0.05 = 5% slower fails).
@@ -58,13 +59,13 @@ func relWorse(base, cur float64, higherIsWorse bool) float64 {
 	return change
 }
 
-// Compare diffs cur against base point-by-point (matching on plan and N;
-// points present in only one report are skipped) and returns every metric
-// that worsened past its threshold. It errors when the schema versions
-// differ — such files must not be silently diffed. A device-model mismatch
-// is reported via the warnings list, not an error: a deliberately changed
-// device model should surface as metric regressions, with the warning
-// explaining why.
+// Compare diffs cur against base point-by-point, matching on plan and N,
+// and returns every metric that worsened past its threshold. Each current
+// point with no baseline counterpart is named in a warning and not
+// compared. It errors when the schema versions differ — such files must not
+// be silently diffed. A device-model mismatch is reported via the warnings
+// list, not an error: a deliberately changed device model should surface as
+// metric regressions, with the warning explaining why.
 func Compare(base, cur *BenchReport, th Thresholds) (regs []Regression, warnings []string, err error) {
 	if base.SchemaVersion != cur.SchemaVersion {
 		return nil, nil, fmt.Errorf("perf: schema version mismatch: baseline v%d vs current v%d",
@@ -85,13 +86,12 @@ func Compare(base, cur *BenchReport, th Thresholds) (regs []Regression, warnings
 		cp := &cur.Points[i]
 		bp := base.Point(cp.Plan, cp.N)
 		if bp == nil {
+			warnings = append(warnings, fmt.Sprintf(
+				"%s N=%d has no baseline point: not compared", cp.Plan, cp.N))
 			continue
 		}
 		matched++
 		check := func(metric string, b, c, allowed float64, higherIsWorse bool) {
-			if allowed <= 0 {
-				return
-			}
 			if change := relWorse(b, c, higherIsWorse); change > allowed {
 				regs = append(regs, Regression{
 					Plan: cp.Plan, N: cp.N, Metric: metric,

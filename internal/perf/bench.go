@@ -147,12 +147,13 @@ type BenchPoint struct {
 	SpeedupVsSerial float64 `json:"speedupVsSerial"`
 
 	// HostBuildMS is the *measured* wall-clock host-build time per evaluation
-	// (tree + walks + flatten on this machine) — the real counterpart of the
-	// modelled HostMS. Machine-dependent, so Compare does not gate on it.
+	// (tree + walks + flatten on this machine; per outer step on the Hermite
+	// point) — the real counterpart of the modelled HostMS. Machine-dependent,
+	// so Compare does not gate on it.
 	HostBuildMS Stat `json:"hostBuildMs"`
 	// AllocsPerStep is the heap allocations per evaluation (runtime mallocs
-	// delta), the steady-state figure the pooled host pipeline drives to ~0
-	// for the BH plans.
+	// delta; per outer step on the Hermite point), the steady-state figure
+	// the pooled host pipeline drives to ~0 for the BH plans.
 	AllocsPerStep Stat `json:"allocsPerStep"`
 	// ActiveFraction is the mean fraction of the system each force evaluation
 	// touched: 1.0 for the whole-system plan points, and the block scheduler's
@@ -355,14 +356,17 @@ const hermiteBlockPlan = "hermite-block"
 // through the block scheduler, so the point reflects the mix of i- and
 // j-parallel block evaluations the dynamic plan selector actually chose.
 // Smallest size because the cost per outer step is a multiple of a
-// whole-system evaluation (one per block boundary).
+// whole-system evaluation (one per block boundary). Every column, the
+// measured host-build time and allocations included, is per outer step.
 func hermitePoint(ctx context.Context, cfg BenchConfig, repeats int) (BenchPoint, error) {
 	n := cfg.Sizes[0]
 	const outerSteps = 2
 	outerDT := float32(1.0 / 16)
 
 	var wall, kernel, transfer, host, total, gflops, active []float64
+	var hostBuild, allocs []float64
 	var last *core.RunProfile
+	var ms runtime.MemStats
 	for r := 0; r < repeats; r++ {
 		plan, err := newPlan("i-parallel", cfg.Device, cfg.Theta, cfg.Eps)
 		if err != nil {
@@ -379,11 +383,14 @@ func hermitePoint(ctx context.Context, cfg BenchConfig, repeats int) (BenchPoint
 			return inter
 		})
 		sys := ic.Plummer(n, cfg.Seed)
+		runtime.ReadMemStats(&ms)
+		mallocsBefore := ms.Mallocs
 		begin := time.Now()
 		for st := 0; st < outerSteps; st++ {
 			integ.Step(sys, outerDT, nil)
 		}
 		wallSec := time.Since(begin).Seconds()
+		runtime.ReadMemStats(&ms)
 		if forceErr != nil {
 			return BenchPoint{}, fmt.Errorf("perf: %s at N=%d: %w", hermiteBlockPlan, n, forceErr)
 		}
@@ -393,6 +400,8 @@ func hermitePoint(ctx context.Context, cfg BenchConfig, repeats int) (BenchPoint
 		host = append(host, eng.HostSeconds*1e3/outerSteps)
 		total = append(total, eng.TotalSeconds()*1e3/outerSteps)
 		gflops = append(gflops, eng.SustainedGFLOPS())
+		hostBuild = append(hostBuild, eng.HostBuildSeconds*1e3/outerSteps)
+		allocs = append(allocs, float64(ms.Mallocs-mallocsBefore)/outerSteps)
 		active = append(active, integ.MeanActiveFraction())
 		last = eng.LastProfile
 	}
@@ -414,6 +423,8 @@ func hermitePoint(ctx context.Context, cfg BenchConfig, repeats int) (BenchPoint
 		KernelGFLOPS:    newStat(gflops),
 		PipelinedMS:     newStat(total),
 		SpeedupVsSerial: 1,
+		HostBuildMS:     newStat(hostBuild),
+		AllocsPerStep:   newStat(allocs),
 		ActiveFraction:  meanActive,
 		Report:          BuildPlanReport(cfg.Device, last),
 	}, nil

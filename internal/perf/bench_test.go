@@ -54,6 +54,11 @@ func TestRunBenchStructure(t *testing.T) {
 		if pt.WallMS.Mean <= 0 {
 			t.Errorf("%s N=%d: no wall time", pt.Plan, pt.N)
 		}
+		// The measured host columns have a sample per repeat too.
+		if pt.HostBuildMS.Samples != rep.Repeats || pt.AllocsPerStep.Samples != rep.Repeats {
+			t.Errorf("%s N=%d: %d host-build and %d allocs samples, want %d each",
+				pt.Plan, pt.N, pt.HostBuildMS.Samples, pt.AllocsPerStep.Samples, rep.Repeats)
+		}
 		// The modelled kernel time is deterministic across repeats.
 		if pt.KernelMS.Std != 0 {
 			t.Errorf("%s N=%d: modelled kernel time varies across repeats: %+v",
@@ -219,6 +224,58 @@ func TestCompareDisjointPointsWarns(t *testing.T) {
 	}
 	if len(warns) == 0 {
 		t.Fatal("disjoint comparison produced no warning")
+	}
+}
+
+// TestCompareGates pins Compare's threshold semantics on hand-built
+// reports: a zero threshold is an exact gate, an improvement passes any
+// gate, and a current point without a baseline counterpart is named in a
+// warning instead of passing unexamined.
+func TestCompareGates(t *testing.T) {
+	point := func(plan string, n int, kernelMS float64) BenchPoint {
+		return BenchPoint{Plan: plan, N: n,
+			KernelMS: Stat{Mean: kernelMS}, TotalMS: Stat{Mean: 2 * kernelMS},
+			KernelGFLOPS: Stat{Mean: 1 / kernelMS}}
+	}
+	base := &BenchReport{SchemaVersion: BenchSchemaVersion, Points: []BenchPoint{
+		point("i-parallel", 1024, 2), point(hermiteBlockPlan, 1024, 3)}}
+	exact := Thresholds{}
+	for _, tc := range []struct {
+		name    string
+		th      Thresholds
+		cur     []BenchPoint
+		metrics []string // regressed metrics, in order
+		warning string   // substring of the only warning, "" for none
+	}{
+		{"exact gate passes an equal point", exact,
+			[]BenchPoint{point("i-parallel", 1024, 2)}, nil, ""},
+		{"exact gate fails the smallest worsening", exact,
+			[]BenchPoint{point("i-parallel", 1024, 2*(1+1e-12))}, []string{"kernel_ms", "total_ms", "gflops"}, ""},
+		{"exact gate fails a doubled hermite-block kernel", exact,
+			[]BenchPoint{point(hermiteBlockPlan, 1024, 6)}, []string{"kernel_ms", "total_ms", "gflops"}, ""},
+		{"an improvement passes the exact gate", exact,
+			[]BenchPoint{point("i-parallel", 1024, 1)}, nil, ""},
+		{"a worsening inside the threshold passes", fivePercent,
+			[]BenchPoint{point("i-parallel", 1024, 2.08)}, nil, ""},
+		{"an unmatched point is named", exact,
+			[]BenchPoint{point("i-parallel", 1024, 2), point(hermiteBlockPlan, 512, 3)}, nil,
+			"hermite-block N=512 has no baseline point"},
+	} {
+		cur := &BenchReport{SchemaVersion: BenchSchemaVersion, Points: tc.cur}
+		regs, warns, err := Compare(base, cur, tc.th)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var metrics []string
+		for _, r := range regs {
+			metrics = append(metrics, r.Metric)
+		}
+		if fmt.Sprint(metrics) != fmt.Sprint(tc.metrics) {
+			t.Errorf("%s: regressions %v, want %v", tc.name, metrics, tc.metrics)
+		}
+		if tc.warning == "" && len(warns) != 0 || tc.warning != "" && (len(warns) != 1 || !strings.Contains(warns[0], tc.warning)) {
+			t.Errorf("%s: warnings %q, want one containing %q", tc.name, warns, tc.warning)
+		}
 	}
 }
 

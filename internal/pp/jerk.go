@@ -55,6 +55,26 @@ func AccumulateJerkInto(px, py, pz, vx, vy, vz, sx, sy, sz, swx, swy, swz, sm, e
 	return acc, jerk
 }
 
+// AccumulateJerkTile adds the interactions of a contiguous tile of sources,
+// 7 floats each (x, y, z, m, vx, vy, vz), in order, onto the running
+// acceleration (ax,ay,az) and jerk (jx,jy,jz) of the body at (px,py,pz)
+// moving with (vx,vy,vz), and returns the new sums. It is the per-lane tile
+// loop of the i-parallel jerk kernel, the jerk counterpart of AccumulateTile.
+func AccumulateJerkTile(px, py, pz, vx, vy, vz, ax, ay, az, jx, jy, jz float32, tile []float32, eps2 float32) (float32, float32, float32, float32, float32, float32) {
+	for len(tile) >= 7 {
+		a, j := AccumulateJerkInto(px, py, pz, vx, vy, vz,
+			tile[0], tile[1], tile[2], tile[4], tile[5], tile[6], tile[3], eps2)
+		ax += a.X
+		ay += a.Y
+		az += a.Z
+		jx += j.X
+		jy += j.Y
+		jz += j.Z
+		tile = tile[7:]
+	}
+	return ax, ay, az, jx, jy, jz
+}
+
 // ScalarJerk computes accelerations (into s.Acc) and jerks (into jerk, which
 // must have length s.N()) for the bodies listed in active, each summed over
 // all N sources with the straightforward double loop. It is the reference the

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/body"
 	"repro/internal/ic"
+	"repro/internal/rng"
 	"repro/internal/vec"
 )
 
@@ -87,5 +88,47 @@ func TestAccumulateJerkIntoCoincident(t *testing.T) {
 	}
 	if math.IsNaN(float64(j.X)) {
 		t.Fatal("NaN jerk")
+	}
+}
+
+// TestAccumulateJerkTileMatchesOneByOne requires the jerk tile leaf to equal
+// AccumulateJerkInto called one 7-float source (x, y, z, m, vx, vy, vz) at a
+// time, in tile order, bit for bit.
+func TestAccumulateJerkTileMatchesOneByOne(t *testing.T) {
+	r := rng.New(3)
+	coord := func() float32 { return float32(r.NormFloat64()) }
+	bits := func(fs ...float32) (b []uint32) {
+		for _, f := range fs {
+			b = append(b, math.Float32bits(f))
+		}
+		return b
+	}
+	for trial := 0; trial < 200; trial++ {
+		k := int(r.Uint64() % 301)
+		tile := make([]float32, 7*k)
+		for i := range tile {
+			tile[i] = coord()
+		}
+		for i := 0; i < k; i++ {
+			tile[7*i+3] = float32(r.Float64())
+		}
+		px, py, pz, vx, vy, vz := coord(), coord(), coord(), coord(), coord(), coord()
+		ax, ay, az, jx, jy, jz := coord(), coord(), coord(), coord(), coord(), coord()
+		eps2 := float32(r.Float64() * 0.01)
+
+		wa, wj := vec.V3{X: ax, Y: ay, Z: az}, vec.V3{X: jx, Y: jy, Z: jz}
+		for i := 0; i < k; i++ {
+			s := tile[7*i:]
+			a, j := AccumulateJerkInto(px, py, pz, vx, vy, vz, s[0], s[1], s[2], s[4], s[5], s[6], s[3], eps2)
+			wa.X, wa.Y, wa.Z = wa.X+a.X, wa.Y+a.Y, wa.Z+a.Z
+			wj.X, wj.Y, wj.Z = wj.X+j.X, wj.Y+j.Y, wj.Z+j.Z
+		}
+		gax, gay, gaz, gjx, gjy, gjz := AccumulateJerkTile(px, py, pz, vx, vy, vz, ax, ay, az, jx, jy, jz, tile, eps2)
+		got, want := bits(gax, gay, gaz, gjx, gjy, gjz), bits(wa.X, wa.Y, wa.Z, wj.X, wj.Y, wj.Z)
+		for c := range got {
+			if got[c] != want[c] {
+				t.Fatalf("trial %d, %d sources: tile %v, one by one %v", trial, k, got, want)
+			}
+		}
 	}
 }

@@ -12,8 +12,10 @@
 // N-body literature when reporting GFLOPS.
 //
 // Every engine, CPU or emulated GPU, computes an interaction through one
-// inlinable body, AccumulateInto. Kernels that consume a staged tile of
-// sources call its leaf loop, AccumulateTile, instead of looping themselves.
+// inlinable body, AccumulateInto. Kernels do not loop over sources
+// themselves: a lane that consumes a staged tile calls AccumulateTile (or
+// AccumulateJerkTile), and a lane that streams an interaction list calls
+// AccumulateGather.
 package pp
 
 import (
@@ -70,6 +72,22 @@ func AccumulateTile(px, py, pz, ax, ay, az float32, tile []float32, eps2 float32
 		ay += y
 		az += z
 		tile = tile[4:]
+	}
+	return ax, ay, az
+}
+
+// AccumulateGather returns the summed interactions, in list order, of the
+// x,y,z,m sources src[4*j:4*j+4] for each j in list on the body at
+// (px,py,pz). It is the per-lane loop of the kernels that stream a walk's
+// interaction list from global memory, the gather counterpart of
+// AccumulateTile.
+func AccumulateGather(px, py, pz float32, list []int32, src []float32, eps2 float32) (ax, ay, az float32) {
+	for _, j := range list {
+		s := src[4*int(j) : 4*int(j)+4]
+		x, y, z := AccumulateInto(px, py, pz, s[0], s[1], s[2], s[3], eps2)
+		ax += x
+		ay += y
+		az += z
 	}
 	return ax, ay, az
 }

@@ -194,6 +194,38 @@ func TestAccumulateTileMatchesOneByOne(t *testing.T) {
 	}
 }
 
+// TestAccumulateGatherMatchesOneByOne requires the gather leaf to equal
+// AccumulateInto called on each listed source in list order, bit for bit,
+// with repeated and out-of-order indices.
+func TestAccumulateGatherMatchesOneByOne(t *testing.T) {
+	r := rng.New(2)
+	coord := func() float32 { return float32(r.NormFloat64()) }
+	const sources = 50
+	src := make([]float32, 4*sources)
+	for i := 0; i < sources; i++ {
+		src[4*i], src[4*i+1], src[4*i+2], src[4*i+3] = coord(), coord(), coord(), float32(r.Float64())
+	}
+	for trial := 0; trial < 200; trial++ {
+		list := make([]int32, r.Uint64()%120)
+		for e := range list {
+			list[e] = int32(r.Uint64() % sources)
+		}
+		px, py, pz := coord(), coord(), coord()
+		eps2 := float32(r.Float64() * 0.01)
+
+		var wx, wy, wz float32
+		for _, j := range list {
+			x, y, z := AccumulateInto(px, py, pz, src[4*j], src[4*j+1], src[4*j+2], src[4*j+3], eps2)
+			wx, wy, wz = wx+x, wy+y, wz+z
+		}
+		gx, gy, gz := AccumulateGather(px, py, pz, list, src, eps2)
+		if math.Float32bits(gx) != math.Float32bits(wx) || math.Float32bits(gy) != math.Float32bits(wy) ||
+			math.Float32bits(gz) != math.Float32bits(wz) {
+			t.Fatalf("trial %d, %d entries: gather (%g,%g,%g), one by one (%g,%g,%g)", trial, len(list), gx, gy, gz, wx, wy, wz)
+		}
+	}
+}
+
 func TestErrorMetrics(t *testing.T) {
 	want := []vec.V3{{X: 1}, {Y: 2}}
 	got := []vec.V3{{X: 1.1}, {Y: 2}}
