@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -82,6 +83,30 @@ func loadFixture(t *testing.T, name, asPath string) *Result {
 		t.Fatalf("Check(%s): %v", name, err)
 	}
 	return res
+}
+
+// TestLoaderHonoursBuildConstraints: the fixture declares Pick twice, in
+// pick_amd64.go (selected by its file suffix) and pick_other.go (selected
+// by //go:build !amd64). The loader must type-check exactly the file the
+// go command would build here, not report Pick as redeclared.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	l := newTestLoader(t)
+	dir := filepath.Join(l.ModuleRoot, "internal", "lint", "testdata", "src", "buildtags")
+	pkg, err := l.LoadDir(dir, "repro/internal/buildfix")
+	if err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	want := "pick_other.go"
+	if runtime.GOARCH == "amd64" {
+		want = "pick_amd64.go"
+	}
+	var got []string
+	for _, f := range pkg.Files {
+		got = append(got, filepath.Base(l.Fset.File(f.Pos()).Name()))
+	}
+	if len(got) != 1 || got[0] != want {
+		t.Errorf("loaded %v, want only %s", got, want)
+	}
 }
 
 func countRule(diags []Diagnostic, rule string) int {
