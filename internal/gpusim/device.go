@@ -26,7 +26,10 @@
 // between its barriers the time axis.
 package gpusim
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // DeviceConfig describes the simulated device. All rates are per the
 // datasheet of the modelled hardware; the calibration fields at the bottom
@@ -231,6 +234,11 @@ func (c DeviceConfig) Validate() error {
 // Device is a simulated GPU, described by its configuration.
 type Device struct {
 	Config DeviceConfig
+
+	// idle holds the Groups of finished launch workers, which later
+	// launches reuse (see Launch).
+	idleMu sync.Mutex
+	idle   []*Group
 }
 
 // NewDevice creates a device with the given configuration.

@@ -31,7 +31,8 @@ type LaunchParams struct {
 // Group is the execution context of one work-group. Launch hands each of
 // its workers one Group and reuses it for every work-group the worker runs:
 // local memory, lane counters, per-lane state and the barrier count are
-// reset before each work-group starts.
+// reset before each work-group starts. A finished worker's Group goes back
+// to its Device for later launches, which reshape it.
 type Group struct {
 	id         int
 	local      int
@@ -39,8 +40,10 @@ type Group struct {
 	numGroups  int
 	lds        []float32
 	items      []Item
-	laneF32    [][]float32
-	barriers   int64
+	// laneF32 holds the lane slices handed out in this launch; slices of
+	// earlier launches wait past its length for LaneF32 to reuse them.
+	laneF32  [][]float32
+	barriers int64
 }
 
 // ID returns the work-group id.
@@ -58,7 +61,13 @@ func (g *Group) Item(l int) *Item { return &g.items[l] }
 // that lives across a Barrier here.
 func (g *Group) LaneF32(k int) []float32 {
 	for len(g.laneF32) <= k {
-		g.laneF32 = append(g.laneF32, make([]float32, g.local))
+		n := len(g.laneF32)
+		if n == cap(g.laneF32) {
+			g.laneF32 = append(g.laneF32, nil)
+		}
+		g.laneF32 = g.laneF32[:n+1]
+		g.laneF32[n] = resize(g.laneF32[n], g.local)
+		clear(g.laneF32[n])
 	}
 	return g.laneF32[k]
 }
@@ -68,6 +77,25 @@ func (g *Group) LaneF32(k int) []float32 {
 // loop has finished when the next one starts, so Barrier only counts the
 // crossing for the cost model.
 func (g *Group) Barrier() { g.barriers++ }
+
+// shape prepares a new or reused Group for a launch, growing its arrays
+// only when the launch needs more than they hold. reset zeroes them per
+// work-group.
+func (g *Group) shape(p LaunchParams, numGroups int) {
+	g.local, g.globalSize, g.numGroups = p.Local, p.Global, numGroups
+	g.lds = resize(g.lds, p.LDSFloats)
+	g.items = resize(g.items, p.Local)
+	g.laneF32 = g.laneF32[:0]
+}
+
+// resize returns s with length n, reallocated only when its capacity is
+// short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
 
 // reset prepares the Group to run work-group id.
 func (g *Group) reset(id int) {
@@ -281,7 +309,9 @@ func (r *Result) TotalBytes() (coalesced, scattered int64) {
 // and modelled timing. Execution is functionally exact: every work-group
 // runs, and buffer contents after Launch are the kernel's true output.
 // Work-groups run on at most GOMAXPROCS workers, the caller being worker 0;
-// each worker claims group ids in turn and reuses one Group. A panic inside
+// each worker takes an idle Group from the Device (or makes one), claims
+// group ids in turn, runs them all on that Group and returns it to the
+// Device when the launch has no group left. A panic inside
 // the kernel (including buffer overruns) is converted into an error naming
 // the kernel and work-group, and no work-group starts after it.
 func (d *Device) Launch(name string, fn KernelFunc, p LaunchParams) (*Result, error) {
@@ -307,13 +337,8 @@ func (d *Device) Launch(name string, fn KernelFunc, p LaunchParams) (*Result, er
 		err    error
 	)
 	work := func() {
-		g := &Group{
-			local:      p.Local,
-			globalSize: p.Global,
-			numGroups:  numGroups,
-			lds:        make([]float32, p.LDSFloats),
-			items:      make([]Item, p.Local),
-		}
+		g := d.takeGroup(p, numGroups)
+		defer d.putGroup(g)
 		for !failed.Load() {
 			gid := int(next.Add(1) - 1)
 			if gid >= numGroups {
@@ -347,6 +372,28 @@ func (d *Device) Launch(name string, fn KernelFunc, p LaunchParams) (*Result, er
 	}
 	res.Timing = d.cost(res)
 	return res, nil
+}
+
+// takeGroup returns an idle Group of d, or a new one, shaped for a launch.
+func (d *Device) takeGroup(p LaunchParams, numGroups int) *Group {
+	var g *Group
+	d.idleMu.Lock()
+	if n := len(d.idle); n > 0 {
+		g, d.idle = d.idle[n-1], d.idle[:n-1]
+	}
+	d.idleMu.Unlock()
+	if g == nil {
+		g = new(Group)
+	}
+	g.shape(p, numGroups)
+	return g
+}
+
+// putGroup returns a finished worker's Group to d for later launches.
+func (d *Device) putGroup(g *Group) {
+	d.idleMu.Lock()
+	d.idle = append(d.idle, g)
+	d.idleMu.Unlock()
 }
 
 // runGroup runs work-group gid on g, converting a kernel panic into an

@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -157,11 +158,18 @@ func TestLaneLoopLDSIsPerGroup(t *testing.T) {
 }
 
 func TestLaneLoopAllocsIndependentOfLocalSize(t *testing.T) {
+	// A warm launch reuses the Groups of earlier ones, so it allocates no
+	// more at Local 256 than at Local 64, and no more than a fixed ceiling:
+	// 16 when this was written, while building a Group, its local memory,
+	// items and two lane slices per launch made 23.
+	const ceiling = 18
 	d := testDev(t)
 	allocs := func(local int) float64 {
 		kernel := func(g *Group) {
+			a, b := g.LaneF32(0), g.LaneF32(1)
 			for l := 0; l < g.LocalSize(); l++ {
 				g.Item(l).Flops(1)
+				a[l], b[l] = 1, 2
 			}
 			g.Barrier()
 		}
@@ -178,39 +186,62 @@ func TestLaneLoopAllocsIndependentOfLocalSize(t *testing.T) {
 	if a256 > a64 {
 		t.Errorf("allocs per launch grew with the work-group size: %v at Local 64, %v at Local 256", a64, a256)
 	}
+	if a64 > ceiling || a256 > ceiling {
+		t.Errorf("a warm launch allocates %v times at Local 64 and %v at Local 256, over the ceiling of %d", a64, a256, ceiling)
+	}
 }
 
 func TestLaneLoopConcurrentLaunches(t *testing.T) {
-	// Four goroutines launch on one Device at once; each launch must see
-	// zeroed LDS and report exactly its own counters.
+	// Four goroutines launch on one Device at once, each rep with another
+	// Local, LDSFloats and lane-slice count, so the Groups they reuse come
+	// from launches of other shapes. Each work-group must see local memory
+	// and lane slices of its own launch's size, zeroed, and each launch
+	// must report exactly its own counters.
 	d := testDev(t)
-	const launches, groups, local = 4, 32, 8
+	const launches, groups = 4, 32
 	var wg sync.WaitGroup
 	for i := 0; i < launches; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for rep := 0; rep < 5; rep++ {
+			for rep := 0; rep < 8; rep++ {
+				shape := (i + rep) % 4
+				local, ldsFloats, slices := 4<<shape, 3+5*shape, 1+2*shape
 				res, err := d.Launch("concurrent", func(g *Group) {
 					lds := g.Item(0).RawLDS()
+					if len(lds) != ldsFloats {
+						panic(fmt.Sprintf("local memory of %d floats, want %d", len(lds), ldsFloats))
+					}
 					for k := range lds {
 						if lds[k] != 0 {
 							panic("dirty LDS at group start")
 						}
 						lds[k] = float32(i + 1)
 					}
+					for k := 0; k < slices; k++ {
+						s := g.LaneF32(k)
+						if len(s) != local {
+							panic(fmt.Sprintf("lane slice %d of %d lanes, want %d", k, len(s), local))
+						}
+						for l := range s {
+							if s[l] != 0 {
+								panic("dirty lane slice at group start")
+							}
+							s[l] = float32(i + 1)
+						}
+					}
 					for l := 0; l < local; l++ {
 						g.Item(l).Flops(i + 1)
 						g.Item(l).ChargeLDS(4)
 					}
 					g.Barrier()
-				}, LaunchParams{Global: groups * local, Local: local, LDSFloats: 8})
+				}, LaunchParams{Global: groups * local, Local: local, LDSFloats: ldsFloats})
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				for gi, c := range res.Groups {
-					if c.Flops != int64(local*(i+1)) || c.LDSBytes != 4*local || c.Barriers != 1 {
+					if c.Flops != int64(local*(i+1)) || c.LDSBytes != int64(4*local) || c.Barriers != 1 {
 						t.Errorf("launch %d group %d: flops %d lds %d barriers %d", i, gi, c.Flops, c.LDSBytes, c.Barriers)
 						return
 					}
