@@ -80,9 +80,7 @@ func (p *IParallel) kernel() gpusim.KernelFunc {
 
 		iTileLoop(grp, nPad/ls, 4, pp.FlopsPerInteraction,
 			func(j int, slot []float32) { copy(slot, src[4*j:4*j+4]) },
-			func(l int, tile []float32) {
-				ax[l], ay[l], az[l] = pp.AccumulateTile(px[l], py[l], pz[l], ax[l], ay[l], az[l], tile, eps2)
-			})
+			func(tile []float32) { pp.AccumulateTileLanes(px, py, pz, ax, ay, az, tile, eps2) })
 
 		// Store the result (padding lanes write padding slots).
 		for l := 0; l < ls; l++ {
@@ -100,12 +98,13 @@ func (p *IParallel) kernel() gpusim.KernelFunc {
 // force and jerk kernels: the group's lanes consume the sources in tiles of
 // LocalSize, width floats each. Per tile, each lane l stages source
 // t*LocalSize+l into its slot of local memory through stage, a barrier
-// follows, each lane folds the whole tile into its running sums with one
-// leaf call through consume, and a second barrier follows. A staged source
-// is charged as a coalesced global read and a local write; a consumed tile
-// as a local read of every source, flops useful operations per source and
-// two of loop control and address arithmetic.
-func iTileLoop(grp *gpusim.Group, tiles, width, flops int, stage func(j int, slot []float32), consume func(l int, tile []float32)) {
+// follows, every lane is charged for the tile and one consume call folds
+// the whole tile into every lane's running sums, and a second barrier
+// follows. A staged source is charged as a coalesced global read and a
+// local write; a consumed tile as a local read of every source, flops
+// useful operations per source and two of loop control and address
+// arithmetic.
+func iTileLoop(grp *gpusim.Group, tiles, width, flops int, stage func(j int, slot []float32), consume func(tile []float32)) {
 	ls := grp.LocalSize()
 	tile := grp.Item(0).RawLDS()[:width*ls]
 	for t := 0; t < tiles; t++ {
@@ -121,8 +120,8 @@ func iTileLoop(grp *gpusim.Group, tiles, width, flops int, stage func(j int, slo
 			wi.ChargeLDS(4 * width * ls)
 			wi.Flops(flops * ls)
 			wi.Aux(2 * ls)
-			consume(l, tile)
 		}
+		consume(tile)
 		grp.Barrier()
 	}
 }

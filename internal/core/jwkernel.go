@@ -74,22 +74,18 @@ func jwKernel(b jwBuffers, g, eps2 float32, staged bool) gpusim.KernelFunc {
 						lds[4*l+3] = src[4*idx+3]
 					}
 					grp.Barrier()
-					tile := lds[:4*kmax]
 					for l := 0; l < active; l++ {
 						wi := grp.Item(l)
 						wi.ChargeLDS(16 * kmax)
 						wi.Flops(pp.FlopsPerInteraction * kmax)
 						wi.Aux(2 * kmax)
-						ax[l], ay[l], az[l] = pp.AccumulateTile(px[l], py[l], pz[l], ax[l], ay[l], az[l], tile, eps2)
 					}
+					pp.AccumulateTileLanes(px[:active], py, pz, ax, ay, az, lds[:4*kmax], eps2)
 					grp.Barrier()
 				}
 			} else {
 				// Ablation: per-lane streaming, as in w-parallel.
-				list := lists[base : base+llen]
-				for l := 0; l < active; l++ {
-					ax[l], ay[l], az[l] = streamList(grp.Item(l), px[l], py[l], pz[l], list, src, eps2)
-				}
+				streamList(grp, px[:active], py, pz, ax, ay, az, lists[base:base+llen], src, eps2)
 			}
 
 			for l := 0; l < active; l++ {

@@ -12,10 +12,14 @@
 // N-body literature when reporting GFLOPS.
 //
 // Every engine, CPU or emulated GPU, computes an interaction through one
-// inlinable body, AccumulateInto. Kernels do not loop over sources
-// themselves: a lane that consumes a staged tile calls AccumulateTile (or
-// AccumulateJerkTile), and a lane that streams an interaction list calls
-// AccumulateGather.
+// inlinable body, AccumulateInto, or through its packed SSE form, which
+// rounds every lane as the body does. Kernels do not loop over sources
+// themselves. A work-group's lanes fold a staged tile into their running
+// sums with one AccumulateTileLanes call, or stream an interaction list
+// with one AccumulateGatherLanes call; on amd64 both evaluate four lanes
+// per instruction, and the leftover lanes and every other architecture run
+// AccumulateTile, the per-lane reference. The jerk kernel's lanes call
+// AccumulateJerkTile one by one.
 package pp
 
 import (
@@ -76,20 +80,49 @@ func AccumulateTile(px, py, pz, ax, ay, az float32, tile []float32, eps2 float32
 	return ax, ay, az
 }
 
-// AccumulateGather returns the summed interactions, in list order, of the
-// x,y,z,m sources src[4*j:4*j+4] for each j in list on the body at
-// (px,py,pz). It is the per-lane loop of the kernels that stream a walk's
-// interaction list from global memory, the gather counterpart of
+// AccumulateTileLanes folds a contiguous tile of x,y,z,m sources, in order,
+// into the running sum (ax[l],ay[l],az[l]) of every lane l, whose body sits
+// at (px[l],py[l],pz[l]). Each lane ends with the bits AccumulateTile
+// returns for it. py, pz, ax, ay and az must be at least len(px) long. It
+// is the tile leaf of the kernels that stage sources through local memory:
+// on amd64 it runs four lanes per SSE instruction and the len(px)%4
+// leftover lanes through AccumulateTile; elsewhere every lane runs through
 // AccumulateTile.
-func AccumulateGather(px, py, pz float32, list []int32, src []float32, eps2 float32) (ax, ay, az float32) {
-	for _, j := range list {
-		s := src[4*int(j) : 4*int(j)+4]
-		x, y, z := AccumulateInto(px, py, pz, s[0], s[1], s[2], s[3], eps2)
-		ax += x
-		ay += y
-		az += z
+func AccumulateTileLanes(px, py, pz, ax, ay, az, tile []float32, eps2 float32) {
+	n := len(px)
+	py, pz, ax, ay, az = py[:n], pz[:n], ax[:n], ay[:n], az[:n]
+	l := accumulateTileLanes4(px, py, pz, ax, ay, az, tile, eps2)
+	accumulateTileLanesGo(px[l:], py[l:], pz[l:], ax[l:], ay[l:], az[l:], tile, eps2)
+}
+
+// accumulateTileLanesGo is the portable lanes leaf: one AccumulateTile call
+// per lane.
+func accumulateTileLanesGo(px, py, pz, ax, ay, az, tile []float32, eps2 float32) {
+	for l := range px {
+		ax[l], ay[l], az[l] = AccumulateTile(px[l], py[l], pz[l], ax[l], ay[l], az[l], tile, eps2)
 	}
-	return ax, ay, az
+}
+
+// gatherTile is how many sources AccumulateGatherLanes stages per
+// AccumulateTileLanes call.
+const gatherTile = 64
+
+// AccumulateGatherLanes folds the x,y,z,m sources src[4*j:4*j+4] for each j
+// in list, in list order, into every lane's running sum, as
+// AccumulateTileLanes does for a tile. It is the leaf of the kernels that
+// stream a walk's interaction list from global memory: it gathers the list
+// through a fixed-size tile on the stack, so the lanes share each gathered
+// source.
+func AccumulateGatherLanes(px, py, pz, ax, ay, az []float32, list []int32, src []float32, eps2 float32) {
+	var tile [4 * gatherTile]float32
+	for len(list) > 0 {
+		k := min(len(list), gatherTile)
+		for i, j := range list[:k] {
+			copy(tile[4*i:4*i+4], src[4*int(j):4*int(j)+4])
+		}
+		AccumulateTileLanes(px, py, pz, ax, ay, az, tile[:4*k], eps2)
+		list = list[k:]
+	}
 }
 
 // Scalar computes accelerations for every body with the straightforward
