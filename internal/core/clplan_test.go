@@ -35,16 +35,10 @@ func TestCLPlanPPMatchesGoPlans(t *testing.T) {
 		if prof.Profile.KernelSeconds <= 0 {
 			t.Errorf("%s: no kernel time", variant)
 		}
-		// The source plan runs as a three-stage graph whose commands are
-		// the upload, the compiled kernel and the download.
-		var cmds []string
-		for _, sp := range prof.Schedule.Spans {
-			cmds = append(cmds, sp.Stage+"="+sp.Event.Name)
-		}
-		wantCmds := "upload:posm=write " + variant + ".posm force=clc:" + variant + " download:acc=read " + variant + ".acc"
-		if got := strings.Join(cmds, " "); got != wantCmds {
-			t.Errorf("%s: schedule %q, want %q", variant, got, wantCmds)
-		}
+		// The source plan's commands are the upload, the compiled kernel
+		// and the download.
+		checkCommands(t, variant, prof.Schedule,
+			"upload write "+variant+".posm, kernel clc:"+variant+", download read "+variant+".acc")
 
 		var ref Plan
 		ctx2 := newHD5850Context(t)

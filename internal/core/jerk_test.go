@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -204,15 +205,22 @@ func (e *Engine) jerkGroupForTest() int {
 // bit for bit; j-parallel does not, because its strided partial sums and
 // tree reduction change the summation order.
 func TestJerkKernelsBitwiseGolden(t *testing.T) {
+	const (
+		uploads   = "upload write jerk.posm, upload write jerk.vel, upload write jerk.active, "
+		downloads = ", download read jerk.acc, download read jerk.jerk"
+		iCmds     = uploads + "kernel jerk.i-parallel" + downloads
+		jCmds     = uploads + "kernel jerk.j-parallel" + downloads
+	)
 	golden := []struct {
 		plan          string
 		n, stride     int
 		hash          uint64
 		kernelSeconds float64
+		cmds          string
 	}{
-		{"i-parallel", 4608, 1, 0xb17bc3f04321c93f, 0.0010279406896551724},
-		{"i-parallel", 4700, 1, 0xe8f835e50cc29d0e, 0.0021600510344827583},
-		{"j-parallel", 1024, 8, 0x40fd605493335781, 4.7110068965517238e-05},
+		{"i-parallel", 4608, 1, 0xb17bc3f04321c93f, 0.0010279406896551724, iCmds},
+		{"i-parallel", 4700, 1, 0xe8f835e50cc29d0e, 0.0021600510344827583, iCmds},
+		{"j-parallel", 1024, 8, 0x40fd605493335781, 4.7110068965517238e-05, jCmds},
 	}
 	params := pp.DefaultParams()
 	for _, g := range golden {
@@ -254,6 +262,7 @@ func TestJerkKernelsBitwiseGolden(t *testing.T) {
 		if got := prof.Profile.KernelSeconds; math.Abs(got-g.kernelSeconds) > 1e-12*g.kernelSeconds {
 			t.Errorf("%s n=%d: KernelSeconds %.17g, want %.17g", g.plan, g.n, got, g.kernelSeconds)
 		}
+		checkCommands(t, fmt.Sprintf("jerk %s n=%d", g.plan, g.n), prof.Schedule, g.cmds)
 
 		if g.plan != "i-parallel" {
 			continue
