@@ -98,16 +98,17 @@ type Stat struct {
 	Samples int     `json:"samples"`
 }
 
-// newStat computes the summary of xs (population standard deviation).
+// newStat computes the summary of xs (population standard deviation). The
+// mean is a running mean, so equal samples average to themselves exactly
+// and a sweep's modelled means do not depend on its repeat count.
 func newStat(xs []float64) Stat {
 	s := Stat{Samples: len(xs)}
 	if len(xs) == 0 {
 		return s
 	}
 	s.Min, s.Max = xs[0], xs[0]
-	var sum float64
-	for _, x := range xs {
-		sum += x
+	for k, x := range xs {
+		s.Mean += (x - s.Mean) / float64(k+1)
 		if x < s.Min {
 			s.Min = x
 		}
@@ -115,7 +116,6 @@ func newStat(xs []float64) Stat {
 			s.Max = x
 		}
 	}
-	s.Mean = sum / float64(len(xs))
 	var sq float64
 	for _, x := range xs {
 		d := x - s.Mean

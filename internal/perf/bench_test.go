@@ -462,6 +462,20 @@ func TestStat(t *testing.T) {
 	if z := newStat(nil); z.Samples != 0 || z.Mean != 0 {
 		t.Errorf("empty stat = %+v", z)
 	}
+	// Equal samples average to themselves: a modelled time repeated by a
+	// sweep must not depend on the repeat count. j-parallel N 1024's kernel
+	// time summed three times and divided by 3 loses its last bit.
+	for _, x := range []float64{0.18178174137931052, 0.1, 1.0 / 3} {
+		for n := 1; n <= 5; n++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = x
+			}
+			if s := newStat(xs); s.Mean != x || s.Std != 0 || s.Min != x || s.Max != x {
+				t.Errorf("%d samples of %.17g: stat = %+v", n, x, s)
+			}
+		}
+	}
 }
 
 func TestNewPlanCoversAll(t *testing.T) {
