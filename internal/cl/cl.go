@@ -78,8 +78,7 @@ func (e *Event) Seconds() float64 { return e.End - e.Start }
 
 // Queue is an in-order command queue with profiling enabled. Commands
 // execute synchronously (functionally); their *modelled* durations advance
-// the simulated timeline. Each command starts when the previous one ends, or
-// later if an event on its wait list ends later.
+// the simulated timeline. Each command starts when the previous one ends.
 type Queue struct {
 	ctx    *Context
 	now    float64
@@ -96,17 +95,9 @@ func (c *Context) NewQueue() *Queue { return &Queue{ctx: c} }
 // check per command.
 func (q *Queue) SetObs(o *obs.Obs) { q.obs = o }
 
-func (q *Queue) push(name string, kind EventKind, dur float64, bytes int64, res *gpusim.Result, deps []*Event) *Event {
-	start := q.now
-	for _, d := range deps {
-		if d != nil && d.End > start {
-			start = d.End
-		}
-	}
-	e := &Event{Name: name, Kind: kind, Start: start, End: start + dur, Bytes: bytes, Result: res}
-	if e.End > q.now {
-		q.now = e.End
-	}
+func (q *Queue) push(name string, kind EventKind, dur float64, bytes int64, res *gpusim.Result) *Event {
+	e := &Event{Name: name, Kind: kind, Start: q.now, End: q.now + dur, Bytes: bytes, Result: res}
+	q.now = e.End
 	q.events = append(q.events, e)
 	if q.obs != nil {
 		q.observe(e)
@@ -151,53 +142,52 @@ func (q *Queue) observe(e *Event) {
 }
 
 // EnqueueWriteF32 copies host data into a device buffer, charging a PCIe
-// transfer. The optional deps are a wait list: the transfer starts only
-// once every listed event has completed on the modelled timeline.
-func (q *Queue) EnqueueWriteF32(b *gpusim.Buffer, src []float32, deps ...*Event) (*Event, error) {
+// transfer.
+func (q *Queue) EnqueueWriteF32(b *gpusim.Buffer, src []float32) (*Event, error) {
 	dst := b.HostF32()
 	if len(src) > len(dst) {
 		return nil, fmt.Errorf("cl: write of %d elements into %q of %d", len(src), b.Name(), len(dst))
 	}
 	copy(dst, src)
 	bytes := int64(len(src)) * 4
-	return q.push("write "+b.Name(), KindTransfer, q.ctx.dev.TransferSeconds(bytes), bytes, nil, deps), nil
+	return q.push("write "+b.Name(), KindTransfer, q.ctx.dev.TransferSeconds(bytes), bytes, nil), nil
 }
 
 // EnqueueWriteI32 copies host int32 data into a device buffer.
-func (q *Queue) EnqueueWriteI32(b *gpusim.Buffer, src []int32, deps ...*Event) (*Event, error) {
+func (q *Queue) EnqueueWriteI32(b *gpusim.Buffer, src []int32) (*Event, error) {
 	dst := b.HostI32()
 	if len(src) > len(dst) {
 		return nil, fmt.Errorf("cl: write of %d elements into %q of %d", len(src), b.Name(), len(dst))
 	}
 	copy(dst, src)
 	bytes := int64(len(src)) * 4
-	return q.push("write "+b.Name(), KindTransfer, q.ctx.dev.TransferSeconds(bytes), bytes, nil, deps), nil
+	return q.push("write "+b.Name(), KindTransfer, q.ctx.dev.TransferSeconds(bytes), bytes, nil), nil
 }
 
 // EnqueueReadF32 copies a device buffer back to host memory.
-func (q *Queue) EnqueueReadF32(b *gpusim.Buffer, dst []float32, deps ...*Event) (*Event, error) {
+func (q *Queue) EnqueueReadF32(b *gpusim.Buffer, dst []float32) (*Event, error) {
 	src := b.HostF32()
 	if len(dst) > len(src) {
 		return nil, fmt.Errorf("cl: read of %d elements from %q of %d", len(dst), b.Name(), len(src))
 	}
 	copy(dst, src[:len(dst)])
 	bytes := int64(len(dst)) * 4
-	return q.push("read "+b.Name(), KindTransfer, q.ctx.dev.TransferSeconds(bytes), bytes, nil, deps), nil
+	return q.push("read "+b.Name(), KindTransfer, q.ctx.dev.TransferSeconds(bytes), bytes, nil), nil
 }
 
 // EnqueueNDRange launches a kernel and records a profiled kernel event.
-func (q *Queue) EnqueueNDRange(name string, fn gpusim.KernelFunc, p gpusim.LaunchParams, deps ...*Event) (*Event, error) {
+func (q *Queue) EnqueueNDRange(name string, fn gpusim.KernelFunc, p gpusim.LaunchParams) (*Event, error) {
 	res, err := q.ctx.dev.Launch(name, fn, p)
 	if err != nil {
 		return nil, err
 	}
-	return q.push(name, KindKernel, res.Timing.KernelSeconds, 0, res, deps), nil
+	return q.push(name, KindKernel, res.Timing.KernelSeconds, 0, res), nil
 }
 
 // EnqueueHostWork records modelled host-side work (tree build, list
 // construction) on the timeline, so total-time accounting sees it.
-func (q *Queue) EnqueueHostWork(name string, seconds float64, deps ...*Event) *Event {
-	return q.push(name, KindHost, seconds, 0, nil, deps)
+func (q *Queue) EnqueueHostWork(name string, seconds float64) *Event {
+	return q.push(name, KindHost, seconds, 0, nil)
 }
 
 // Reset clears the event log and rewinds the timeline; buffers keep their

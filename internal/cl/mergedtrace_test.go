@@ -85,12 +85,11 @@ func TestWriteMergedTraceOverlappedSpans(t *testing.T) {
 	// upload+kernel chain, as in the paper's note-4 pipelining.
 	tree := hq.EnqueueHostWork("tree build", 4e-3)
 	buf := ctx.Device().NewBufferF32("posm", 64)
-	up, err := q.EnqueueWriteF32(buf, make([]float32, 64))
-	if err != nil {
+	if _, err := q.EnqueueWriteF32(buf, make([]float32, 64)); err != nil {
 		t.Fatal(err)
 	}
 	ev, err := q.EnqueueNDRange("force", gpusim.PerItem(func(wi *gpusim.Item) { wi.Flops(4) }),
-		gpusim.LaunchParams{Global: 16, Local: 8}, up)
+		gpusim.LaunchParams{Global: 16, Local: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

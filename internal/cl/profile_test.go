@@ -101,25 +101,6 @@ func TestQueueTimestampsMonotonePerQueue(t *testing.T) {
 	}
 }
 
-// TestInOrderDepsCannotRewind: a wait list never moves a command earlier
-// than the previous command's end; it can only delay the command, here past
-// an event of another queue.
-func TestInOrderDepsCannotRewind(t *testing.T) {
-	ctx := newTestContext(t)
-	q := ctx.NewQueue()
-	a := q.EnqueueHostWork("a", 2e-3)
-	b := q.EnqueueHostWork("b", 3e-3)
-	c := q.EnqueueHostWork("c", 1e-3, a) // dep older than queue position
-	if math.Abs(c.Start-b.End) > 1e-15 {
-		t.Errorf("in-order command with old dep starts at %g, want %g", c.Start, b.End)
-	}
-	late := ctx.NewQueue().EnqueueHostWork("late", 10e-3)
-	d := q.EnqueueHostWork("d", 1e-3, late)
-	if d.Start != late.End {
-		t.Errorf("command waiting on a later event starts at %g, want %g", d.Start, late.End)
-	}
-}
-
 func TestQueueObserveEmitsMetricsAndSpans(t *testing.T) {
 	ctx := newTestContext(t)
 	q := ctx.NewQueue()

@@ -147,7 +147,7 @@ func (k *CLKernel) SetArgs(args ...any) error {
 // EnqueueCLKernel launches a compiled OpenCL C kernel over a 1-D NDRange,
 // recording a profiled kernel event like EnqueueNDRange. Programs built
 // with BuildOptions.Checked run under the checked interpreter.
-func (q *Queue) EnqueueCLKernel(k *CLKernel, global, local int, deps ...*Event) (*Event, error) {
+func (q *Queue) EnqueueCLKernel(k *CLKernel, global, local int) (*Event, error) {
 	bindFn := clc.Bind
 	if k.prog.opts.Checked {
 		bindFn = clc.BindChecked
@@ -160,5 +160,5 @@ func (q *Queue) EnqueueCLKernel(k *CLKernel, global, local int, deps ...*Event) 
 		Global:    global,
 		Local:     local,
 		LDSFloats: ldsFloats,
-	}, deps...)
+	})
 }

@@ -99,14 +99,14 @@ func (p *CLPlanPP) Accel(s *body.System) (*RunProfile, error) {
 	}
 	hostWall := time.Since(hostStart).Seconds() // repocheck:allow nodeterminism -- measured host wall time for perf attribution; modelled timings come from the launch results
 
-	g := pipeline.NewGraph(p.Name()).
-		Add(stageUploadF32("upload:posm", p.bufPosM, p.hostIn)).
-		Add(pipeline.Stage{Name: "force", Kind: pipeline.Kernel, Deps: []string{"upload:posm"},
-			Run: func(ec *pipeline.ExecCtx) (*cl.Event, error) {
-				return ec.Queue.EnqueueCLKernel(p.kernel, global, local, ec.Deps...)
-			}}).
-		Add(stageDownloadF32("download:acc", p.bufAcc, p.hostOut, "force"))
-	rp, err := p.run(g, p.Name(), n, interactions, hostWall)
+	p.begin()
+	p.writeF32(p.bufPosM, p.hostIn)
+	if p.err == nil {
+		ev, err := p.queue.EnqueueCLKernel(p.kernel, global, local)
+		p.record(pipeline.Kernel, ev, err)
+	}
+	p.readF32(p.bufAcc, p.hostOut)
+	rp, err := p.finish(p.Name(), n, interactions, hostWall)
 	if err != nil {
 		return nil, err
 	}

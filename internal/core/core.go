@@ -72,8 +72,9 @@ type Plan interface {
 	// Kind returns the algorithm family.
 	Kind() Kind
 	// Accel computes accelerations into s.Acc and returns the run's
-	// profile, whose Schedule is never nil: implementations run the
-	// evaluation as a stage graph and reuse device buffers across calls.
+	// profile, whose Schedule is never nil: implementations enqueue the
+	// evaluation's commands in order on one in-order queue, record one
+	// schedule span per command, and reuse device buffers across calls.
 	Accel(s *body.System) (*RunProfile, error)
 }
 
@@ -90,11 +91,11 @@ type RunProfile struct {
 	// Launches holds the per-kernel device results (divergence, bounds,
 	// occupancy) for the PTPM reports.
 	Launches []*gpusim.Result
-	// Schedule is the executed stage schedule of the evaluation — which
-	// pipeline stages ran, where they landed on the modelled timeline. The
-	// perf layer and the engine's executed timeline read it directly. Every
-	// plan sets it; a multi-device plan reports the schedule of the device
-	// whose chain ends last.
+	// Schedule is the executed schedule of the evaluation — one span per
+	// queue command, where it landed on the modelled timeline. The perf
+	// layer and the engine's executed timeline read it directly. Every plan
+	// sets it; a multi-device plan reports the schedule of the device whose
+	// chain ends last.
 	Schedule *pipeline.Schedule
 	// HostBuildSeconds is the measured wall-clock cost of the host-side
 	// build for this evaluation (tree + walks + flattening on the machine

@@ -223,7 +223,6 @@ func (e *Engine) RetainedSchedule() (*pipeline.Schedule, bool) {
 		return nil, false
 	}
 	out := pipeline.Schedule{
-		Graph:           e.retained.Graph,
 		Spans:           append([]pipeline.StageSpan(nil), e.retained.Spans...),
 		HostWallSeconds: e.retained.HostWallSeconds,
 	}
@@ -237,9 +236,6 @@ func (e *Engine) RetainedSchedule() (*pipeline.Schedule, bool) {
 func (e *Engine) retainSchedule(sched *pipeline.Schedule) {
 	if e.retainMax <= 0 || len(sched.Spans) == 0 {
 		return
-	}
-	if e.retained.Graph == "" {
-		e.retained.Graph = sched.Graph
 	}
 	e.retained.HostWallSeconds += sched.HostWallSeconds
 	var evalEnd float64

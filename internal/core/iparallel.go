@@ -7,7 +7,6 @@ import (
 	"repro/internal/body"
 	"repro/internal/gpusim"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/pp"
 )
 
@@ -126,19 +125,6 @@ func iTileLoop(grp *gpusim.Group, tiles, width, flops int, stage func(j int, slo
 	}
 }
 
-// graph builds the plan's stage graph: upload positions, launch the force
-// kernel, download accelerations.
-func (p *IParallel) graph() *pipeline.Graph {
-	return pipeline.NewGraph(p.Name()).
-		Add(stageUploadF32("upload:posm", p.bufPosM, p.hostIn)).
-		Add(stageKernel("force", "iparallel.force", p.kernel(), gpusim.LaunchParams{
-			Global:    p.nPad,
-			Local:     p.GroupSize,
-			LDSFloats: 4 * p.GroupSize,
-		}, "upload:posm")).
-		Add(stageDownloadF32("download:acc", p.bufAcc, p.hostOut, "force"))
-}
-
 // Accel implements Plan.
 func (p *IParallel) Accel(s *body.System) (*RunProfile, error) {
 	n := s.N()
@@ -152,7 +138,16 @@ func (p *IParallel) Accel(s *body.System) (*RunProfile, error) {
 	p.hostIn = flattenPadded(s, p.nPad, p.hostIn)
 	hostWall := time.Since(hostStart).Seconds() // repocheck:allow nodeterminism -- measured host wall time for perf attribution; modelled timings come from the launch results
 
-	rp, err := p.run(p.graph(), p.Name(), n, int64(p.nPad)*int64(p.nPad), hostWall)
+	// Upload positions, launch the force kernel, download accelerations.
+	p.begin()
+	p.writeF32(p.bufPosM, p.hostIn)
+	p.launch("iparallel.force", p.kernel(), gpusim.LaunchParams{
+		Global:    p.nPad,
+		Local:     p.GroupSize,
+		LDSFloats: 4 * p.GroupSize,
+	})
+	p.readF32(p.bufAcc, p.hostOut)
+	rp, err := p.finish(p.Name(), n, int64(p.nPad)*int64(p.nPad), hostWall)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/body"
 	"repro/internal/cl"
 	"repro/internal/gpusim"
-	"repro/internal/pipeline"
 	"repro/internal/pp"
 	"repro/internal/vec"
 )
@@ -254,38 +253,6 @@ func (u *jerkUnit) jKernel() gpusim.KernelFunc {
 	})
 }
 
-// graph builds the unit's stage graph for the selected plan: upload the
-// padded sources (positions+masses, velocities) and the active index list,
-// launch the jerk kernel, download accelerations and jerks.
-func (u *jerkUnit) graph(plan string, activeN int) *pipeline.Graph {
-	var kernel gpusim.KernelFunc
-	var lp gpusim.LaunchParams
-	switch plan {
-	case "i-parallel":
-		kernel = u.iKernel()
-		lp = gpusim.LaunchParams{
-			Global:    u.activePad,
-			Local:     u.iGroup,
-			LDSFloats: 7 * u.iGroup,
-		}
-	default:
-		kernel = u.jKernel()
-		lp = gpusim.LaunchParams{
-			Global:    activeN * jerkJGroup,
-			Local:     jerkJGroup,
-			LDSFloats: 6 * jerkJGroup,
-		}
-	}
-	return pipeline.NewGraph("jerk:" + plan).
-		Add(stageUploadF32("upload:posm", u.bufPosM, u.hostPosM)).
-		Add(stageUploadF32("upload:vel", u.bufVel, u.hostVel)).
-		Add(stageUploadI32("upload:active", u.bufActive, u.hostActive)).
-		Add(stageKernel("force", "jerk."+plan, kernel, lp,
-			"upload:posm", "upload:vel", "upload:active")).
-		Add(stageDownloadF32("download:acc", u.bufAcc, u.hostAcc, "force")).
-		Add(stageDownloadF32("download:jerk", u.bufJerk, u.hostJerk, "force"))
-}
-
 // eval runs one active-block acceleration+jerk evaluation. Only the active
 // slots of s.Acc and jerk are written, matching integrate.BlockForceFunc.
 func (u *jerkUnit) eval(s *body.System, active []int, jerk []vec.V3) (*RunProfile, error) {
@@ -320,14 +287,29 @@ func (u *jerkUnit) eval(s *body.System, active []int, jerk []vec.V3) (*RunProfil
 	}
 	hostWall := time.Since(hostStart).Seconds() // repocheck:allow nodeterminism -- measured host wall time for perf attribution; modelled timings come from the launch results
 
+	var kernel gpusim.KernelFunc
+	var lp gpusim.LaunchParams
 	var interactions int64
 	if plan == "i-parallel" {
+		kernel = u.iKernel()
+		lp = gpusim.LaunchParams{Global: u.activePad, Local: u.iGroup, LDSFloats: 7 * u.iGroup}
 		interactions = int64(u.activePad) * int64(u.nPad)
 	} else {
+		kernel = u.jKernel()
+		lp = gpusim.LaunchParams{Global: activeN * jerkJGroup, Local: jerkJGroup, LDSFloats: 6 * jerkJGroup}
 		interactions = int64(activeN) * int64(u.nPad)
 	}
-	rp, err := u.runFlops(u.graph(plan, activeN), "jerk:"+plan, n,
-		interactions, interactions*pp.FlopsPerJerkInteraction, hostWall)
+	// Upload the padded sources (positions+masses, velocities) and the
+	// active index list, launch the jerk kernel, download accelerations and
+	// jerks.
+	u.begin()
+	u.writeF32(u.bufPosM, u.hostPosM)
+	u.writeF32(u.bufVel, u.hostVel)
+	u.writeI32(u.bufActive, u.hostActive)
+	u.launch("jerk."+plan, kernel, lp)
+	u.readF32(u.bufAcc, u.hostAcc)
+	u.readF32(u.bufJerk, u.hostJerk)
+	rp, err := u.finishFlops("jerk:"+plan, n, interactions, interactions*pp.FlopsPerJerkInteraction, hostWall)
 	if err != nil {
 		return nil, err
 	}

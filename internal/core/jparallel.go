@@ -7,7 +7,6 @@ import (
 	"repro/internal/body"
 	"repro/internal/gpusim"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/pp"
 )
 
@@ -119,19 +118,6 @@ func (p *JParallel) kernel() gpusim.KernelFunc {
 	})
 }
 
-// graph builds the plan's stage graph: upload positions, launch the
-// force+reduction kernel, download accelerations.
-func (p *JParallel) graph() *pipeline.Graph {
-	return pipeline.NewGraph(p.Name()).
-		Add(stageUploadF32("upload:posm", p.bufPosM, p.hostIn)).
-		Add(stageKernel("force", "jparallel.force", p.kernel(), gpusim.LaunchParams{
-			Global:    p.n * p.GroupSize,
-			Local:     p.GroupSize,
-			LDSFloats: 3 * p.GroupSize,
-		}, "upload:posm")).
-		Add(stageDownloadF32("download:acc", p.bufAcc, p.hostOut, "force"))
-}
-
 // Accel implements Plan.
 func (p *JParallel) Accel(s *body.System) (*RunProfile, error) {
 	n := s.N()
@@ -145,7 +131,17 @@ func (p *JParallel) Accel(s *body.System) (*RunProfile, error) {
 	p.hostIn = flattenPadded(s, p.nPadJ, p.hostIn)
 	hostWall := time.Since(hostStart).Seconds() // repocheck:allow nodeterminism -- measured host wall time for perf attribution; modelled timings come from the launch results
 
-	rp, err := p.run(p.graph(), p.Name(), n, int64(n)*int64(p.nPadJ), hostWall)
+	// Upload positions, launch the force+reduction kernel, download
+	// accelerations.
+	p.begin()
+	p.writeF32(p.bufPosM, p.hostIn)
+	p.launch("jparallel.force", p.kernel(), gpusim.LaunchParams{
+		Global:    p.n * p.GroupSize,
+		Local:     p.GroupSize,
+		LDSFloats: 3 * p.GroupSize,
+	})
+	p.readF32(p.bufAcc, p.hostOut)
+	rp, err := p.finish(p.Name(), n, int64(n)*int64(p.nPadJ), hostWall)
 	if err != nil {
 		return nil, err
 	}

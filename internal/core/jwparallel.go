@@ -7,7 +7,6 @@ import (
 	"repro/internal/body"
 	"repro/internal/gpusim"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 )
 
 // JWParallel is the paper's plan: the jw-parallel mapping derived from the
@@ -86,19 +85,19 @@ func (p *JWParallel) Accel(s *body.System) (*RunProfile, error) {
 	return p.pass(s, &p.data, nil, p.Opt, p.LocalSize, p.QueueTarget, !p.DisableLDSStaging)
 }
 
-// jwNames are the names one jw device pass gives its graph, its kernel
+// jwNames are the names one jw device pass gives its profile, its kernel
 // launch and its device buffers, built once per device so a pass allocates
 // none.
 type jwNames struct {
-	graph, kernel                              string
+	plan, kernel                               string
 	src, posm, lists, desc, qwalks, qdesc, acc string
 }
 
-// newJWNames names a device's graph and kernel, and its buffers
+// newJWNames names a device's profile and kernel, and its buffers
 // "<prefix>.src", "<prefix>.posm", ...
-func newJWNames(graph, kernel, prefix string) jwNames {
+func newJWNames(plan, kernel, prefix string) jwNames {
 	return jwNames{
-		graph: graph, kernel: kernel,
+		plan: plan, kernel: kernel,
 		src: prefix + ".src", posm: prefix + ".posm", lists: prefix + ".lists", desc: prefix + ".desc",
 		qwalks: prefix + ".qwalks", qdesc: prefix + ".qdesc", acc: prefix + ".acc",
 	}
@@ -116,10 +115,10 @@ type jwDevice struct {
 }
 
 // pass evaluates the given walks of d (nil: every walk) on the device. It
-// LPT-balances them into walk queues, runs the stage graph — the treecode
-// host front (tree, list), the six uploads (walk data plus the queue
-// tables), the queue-draining kernel and the download — and writes the
-// accelerations of those walks' bodies into s.Acc.
+// LPT-balances them into walk queues, enqueues the treecode host front
+// (tree, list), the six uploads (walk data plus the queue tables), the
+// queue-draining kernel and the download, and writes the accelerations of
+// those walks' bodies into s.Acc.
 func (dv *jwDevice) pass(s *body.System, d *bhHostData, walks []int32, opt bh.Options, localSize, queueTarget int, staged bool) (*RunProfile, error) {
 	n := s.N()
 	count := d.numWalks
@@ -143,24 +142,21 @@ func (dv *jwDevice) pass(s *body.System, d *bhHostData, walks []int32, opt bh.Op
 	if staged {
 		lds = 4 * localSize
 	}
-	g := pipeline.NewGraph(nm.graph)
-	for _, st := range bhFrontStages(d) {
-		g.Add(st)
-	}
-	g.Add(stageUploadF32("upload:src", b.src, d.srcF4, "list")).
-		Add(stageUploadF32("upload:posm", b.pos, d.posmSorted, "list")).
-		Add(stageUploadI32("upload:lists", b.lists, d.lists, "list")).
-		Add(stageUploadI32("upload:desc", b.desc, d.desc, "list")).
-		Add(stageUploadI32("upload:qwalks", b.queueWalks, queueWalks, "list")).
-		Add(stageUploadI32("upload:qdesc", b.queueDesc, queueDesc, "list")).
-		Add(stageKernel("force", nm.kernel, jwKernel(*b, opt.G, opt.Eps*opt.Eps, staged), gpusim.LaunchParams{
-			Global:    numQueues * localSize,
-			Local:     localSize,
-			LDSFloats: lds,
-		}, "upload:src", "upload:posm", "upload:lists", "upload:desc", "upload:qwalks", "upload:qdesc")).
-		Add(stageDownloadF32("download:acc", b.acc, dv.hostAcc, "force"))
-
-	rp, err := dv.run(g, nm.graph, n, d.interactions, d.wallSeconds)
+	dv.begin()
+	dv.hostFront(d)
+	dv.writeF32(b.src, d.srcF4)
+	dv.writeF32(b.pos, d.posmSorted)
+	dv.writeI32(b.lists, d.lists)
+	dv.writeI32(b.desc, d.desc)
+	dv.writeI32(b.queueWalks, queueWalks)
+	dv.writeI32(b.queueDesc, queueDesc)
+	dv.launch(nm.kernel, jwKernel(*b, opt.G, opt.Eps*opt.Eps, staged), gpusim.LaunchParams{
+		Global:    numQueues * localSize,
+		Local:     localSize,
+		LDSFloats: lds,
+	})
+	dv.readF32(b.acc, dv.hostAcc)
+	rp, err := dv.finish(nm.plan, n, d.interactions, d.wallSeconds)
 	if err != nil {
 		return nil, err
 	}

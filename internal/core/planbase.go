@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/cl"
 	"repro/internal/gpusim"
 	"repro/internal/obs"
@@ -8,15 +10,22 @@ import (
 )
 
 // planBase is the host-side machinery every execution plan shares: the
-// context, the plan's command queue, the telemetry bundle, grow-only device
-// buffer management, and the graph runner that turns an executed
-// pipeline.Schedule into a RunProfile. The plans differ only in their
-// kernels and in the stage graphs they build; everything between "the host
-// data is ready" and "the RunProfile is assembled" lives here.
+// context, the plan's in-order command queue, the telemetry bundle,
+// grow-only device buffer management, and the recorder of the evaluation in
+// progress. A plan evaluates forces by calling begin, enqueueing its
+// commands in order through the helpers below, and calling finish, which
+// turns the recorded pipeline.Schedule into a RunProfile. The plans differ
+// only in their kernels and in the commands they enqueue.
 type planBase struct {
 	ctx   *cl.Context
 	queue *cl.Queue
 	obs   *obs.Obs
+
+	// sched and err record the evaluation in progress: one span per
+	// command, and the first command's error, after which the helpers
+	// enqueue nothing more.
+	sched *pipeline.Schedule
+	err   error
 }
 
 func newPlanBase(ctx *cl.Context) planBase {
@@ -51,24 +60,82 @@ func ensureBuffer(dev *gpusim.Device, name string, buf **gpusim.Buffer, n int, i
 	}
 }
 
-// run resets the plan's queue, executes the stage graph on it, and assembles
-// the RunProfile: the per-kind profile from the queue's event log plus the
-// executed stage schedule for the perf layer, both stamped with hostWall,
-// the measured wall seconds of the host work that prepared the graph's
-// inputs.
-func (b *planBase) run(g *pipeline.Graph, plan string, n int, interactions int64, hostWall float64) (*RunProfile, error) {
-	return b.runFlops(g, plan, n, interactions, interactionFlops(interactions), hostWall)
+// begin starts an evaluation: it rewinds the queue's timeline and opens an
+// empty schedule.
+func (b *planBase) begin() {
+	b.queue.Reset()
+	b.sched = &pipeline.Schedule{}
+	b.err = nil
 }
 
-// runFlops is run with an explicit useful-flops total, for kernels whose
-// per-interaction cost differs from the plain force kernel (the jerk path
-// charges pp.FlopsPerJerkInteraction).
-func (b *planBase) runFlops(g *pipeline.Graph, plan string, n int, interactions, flops int64, hostWall float64) (*RunProfile, error) {
-	b.queue.Reset()
-	sched, err := g.Execute(b.queue, b.obs)
+// record appends a command's span to the evaluation's schedule, or keeps
+// its error.
+func (b *planBase) record(kind pipeline.Kind, ev *cl.Event, err error) {
 	if err != nil {
-		return nil, err
+		b.err = err
+		return
 	}
+	b.sched.Spans = append(b.sched.Spans, pipeline.StageSpan{Kind: kind, Start: ev.Start, End: ev.End, Event: ev})
+}
+
+// writeF32 uploads host float32 data to a device buffer.
+func (b *planBase) writeF32(buf *gpusim.Buffer, src []float32) {
+	if b.err == nil {
+		ev, err := b.queue.EnqueueWriteF32(buf, src)
+		b.record(pipeline.Upload, ev, err)
+	}
+}
+
+// writeI32 uploads host int32 data to a device buffer.
+func (b *planBase) writeI32(buf *gpusim.Buffer, src []int32) {
+	if b.err == nil {
+		ev, err := b.queue.EnqueueWriteI32(buf, src)
+		b.record(pipeline.Upload, ev, err)
+	}
+}
+
+// launch enqueues a kernel.
+func (b *planBase) launch(name string, fn gpusim.KernelFunc, lp gpusim.LaunchParams) {
+	if b.err == nil {
+		ev, err := b.queue.EnqueueNDRange(name, fn, lp)
+		b.record(pipeline.Kernel, ev, err)
+	}
+}
+
+// readF32 reads a device buffer back into host memory.
+func (b *planBase) readF32(buf *gpusim.Buffer, dst []float32) {
+	if b.err == nil {
+		ev, err := b.queue.EnqueueReadF32(buf, dst)
+		b.record(pipeline.Download, ev, err)
+	}
+}
+
+// hostFront enqueues the common front of a treecode evaluation, its first
+// commands: the modelled CPU tree build followed by the walk/list
+// construction, which both BH plans (and the paper's pipelining argument)
+// share. Host work cannot fail.
+func (b *planBase) hostFront(d *bhHostData) {
+	b.record(pipeline.Tree, b.queue.EnqueueHostWork("tree build", d.treeSeconds), nil)
+	b.record(pipeline.List, b.queue.EnqueueHostWork("walk/list build", d.listSeconds), nil)
+}
+
+// finish ends the evaluation and assembles its RunProfile: the per-kind
+// profile from the queue's event log plus the recorded schedule for the
+// perf layer, both stamped with hostWall, the measured wall seconds of the
+// host work that prepared the commands' inputs. It returns the first
+// command's error, if any.
+func (b *planBase) finish(plan string, n int, interactions int64, hostWall float64) (*RunProfile, error) {
+	return b.finishFlops(plan, n, interactions, interactionFlops(interactions), hostWall)
+}
+
+// finishFlops is finish with an explicit useful-flops total, for kernels
+// whose per-interaction cost differs from the plain force kernel (the jerk
+// path charges pp.FlopsPerJerkInteraction).
+func (b *planBase) finishFlops(plan string, n int, interactions, flops int64, hostWall float64) (*RunProfile, error) {
+	if b.err != nil {
+		return nil, fmt.Errorf("core: %s: %w", plan, b.err)
+	}
+	sched := b.sched
 	sched.HostWallSeconds = hostWall
 	rp := &RunProfile{
 		Plan:             plan,
@@ -82,62 +149,4 @@ func (b *planBase) runFlops(g *pipeline.Graph, plan string, n int, interactions,
 	}
 	observeRun(b.obs, rp)
 	return rp, nil
-}
-
-// Stage constructors. Each closes over concrete host data and buffers — the
-// plans build their graphs after the host-side prep, so every stage is fully
-// bound at construction. The cl event names ("write <buf>", kernel names,
-// "tree build") are unchanged from the pre-pipeline code so profiles and
-// traces stay comparable across revisions.
-
-// stageHostWork models CPU-side work (tree build, list construction) as one
-// pipeline stage.
-func stageHostWork(stage, event string, kind pipeline.Kind, seconds float64, deps ...string) pipeline.Stage {
-	return pipeline.Stage{Name: stage, Kind: kind, Deps: deps,
-		Run: func(ec *pipeline.ExecCtx) (*cl.Event, error) {
-			return ec.Queue.EnqueueHostWork(event, seconds, ec.Deps...), nil
-		}}
-}
-
-// stageUploadF32 uploads host float32 data to a device buffer.
-func stageUploadF32(stage string, buf *gpusim.Buffer, src []float32, deps ...string) pipeline.Stage {
-	return pipeline.Stage{Name: stage, Kind: pipeline.Upload, Deps: deps,
-		Run: func(ec *pipeline.ExecCtx) (*cl.Event, error) {
-			return ec.Queue.EnqueueWriteF32(buf, src, ec.Deps...)
-		}}
-}
-
-// stageUploadI32 uploads host int32 data to a device buffer.
-func stageUploadI32(stage string, buf *gpusim.Buffer, src []int32, deps ...string) pipeline.Stage {
-	return pipeline.Stage{Name: stage, Kind: pipeline.Upload, Deps: deps,
-		Run: func(ec *pipeline.ExecCtx) (*cl.Event, error) {
-			return ec.Queue.EnqueueWriteI32(buf, src, ec.Deps...)
-		}}
-}
-
-// stageKernel launches a force (or reduction) kernel.
-func stageKernel(stage, kernel string, fn gpusim.KernelFunc, lp gpusim.LaunchParams, deps ...string) pipeline.Stage {
-	return pipeline.Stage{Name: stage, Kind: pipeline.Kernel, Deps: deps,
-		Run: func(ec *pipeline.ExecCtx) (*cl.Event, error) {
-			return ec.Queue.EnqueueNDRange(kernel, fn, lp, ec.Deps...)
-		}}
-}
-
-// stageDownloadF32 reads a device buffer back into host memory.
-func stageDownloadF32(stage string, buf *gpusim.Buffer, dst []float32, deps ...string) pipeline.Stage {
-	return pipeline.Stage{Name: stage, Kind: pipeline.Download, Deps: deps,
-		Run: func(ec *pipeline.ExecCtx) (*cl.Event, error) {
-			return ec.Queue.EnqueueReadF32(buf, dst, ec.Deps...)
-		}}
-}
-
-// bhFrontStages returns the common front of a treecode graph — the modelled
-// CPU tree build followed by the walk/list construction — which both BH
-// plans (and the paper's pipelining argument) share. Downstream uploads
-// depend on the "list" stage: no host data exists before it completes.
-func bhFrontStages(d *bhHostData) []pipeline.Stage {
-	return []pipeline.Stage{
-		stageHostWork("tree", "tree build", pipeline.Tree, d.treeSeconds),
-		stageHostWork("list", "walk/list build", pipeline.List, d.listSeconds, "tree"),
-	}
 }

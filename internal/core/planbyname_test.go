@@ -112,17 +112,39 @@ func TestNewPlanByNameSharesContext(t *testing.T) {
 	}
 }
 
+// TestNewPlanByNameWiresObs checks that WithObs reaches the plan's queue: a
+// warm evaluation adds one modelled span per queue command, and nothing
+// else to the modelled timeline.
 func TestNewPlanByNameWiresObs(t *testing.T) {
-	o := obs.New()
-	p, err := NewPlanByName("jw-parallel", WithDevice(gpusim.TestDevice()), WithObs(o))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Accel(ic.Plummer(256, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if len(o.Trace.Spans()) == 0 {
-		t.Error("WithObs produced no spans from an evaluation")
+	for _, c := range []struct {
+		name     string
+		commands int
+	}{{"i-parallel", 3}, {"jw-parallel", 10}} {
+		o := obs.New()
+		p, err := NewPlanByName(c.name, WithDevice(gpusim.TestDevice()), WithObs(o))
+		if err != nil {
+			t.Fatal(err)
+		}
+		modelled := func() int {
+			n := 0
+			for _, sp := range o.Trace.Spans() {
+				if sp.Domain == obs.DomainModelled {
+					n++
+				}
+			}
+			return n
+		}
+		sys := ic.Plummer(256, 2)
+		if _, err := p.Accel(sys); err != nil {
+			t.Fatal(err)
+		}
+		before := modelled()
+		if _, err := p.Accel(sys); err != nil {
+			t.Fatal(err)
+		}
+		if got := modelled() - before; got != c.commands {
+			t.Errorf("%s: a warm evaluation added %d modelled spans, want %d (one per command)", c.name, got, c.commands)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/body"
 	"repro/internal/gpusim"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/pp"
 )
 
@@ -119,25 +118,6 @@ func streamList(grp *gpusim.Group, px, py, pz, ax, ay, az []float32, list []int3
 	pp.AccumulateGatherLanes(px, py, pz, ax, ay, az, list, src, eps2)
 }
 
-// graph builds the plan's stage graph: the treecode host front (tree, list),
-// the four uploads, the one-walk-per-group kernel, and the download.
-func (p *WParallel) graph(d *bhHostData) *pipeline.Graph {
-	g := pipeline.NewGraph(p.Name())
-	for _, st := range bhFrontStages(d) {
-		g.Add(st)
-	}
-	return g.
-		Add(stageUploadF32("upload:src", p.bufSrc, d.srcF4, "list")).
-		Add(stageUploadF32("upload:posm", p.bufPos, d.posmSorted, "list")).
-		Add(stageUploadI32("upload:lists", p.bufLists, d.lists, "list")).
-		Add(stageUploadI32("upload:desc", p.bufDesc, d.desc, "list")).
-		Add(stageKernel("force", "wparallel.force", p.kernel(), gpusim.LaunchParams{
-			Global: d.numWalks * p.LocalSize,
-			Local:  p.LocalSize,
-		}, "upload:src", "upload:posm", "upload:lists", "upload:desc")).
-		Add(stageDownloadF32("download:acc", p.bufAcc, p.hostAcc, "force"))
-}
-
 // Accel implements Plan.
 func (p *WParallel) Accel(s *body.System) (*RunProfile, error) {
 	n := s.N()
@@ -159,7 +139,20 @@ func (p *WParallel) Accel(s *body.System) (*RunProfile, error) {
 	p.ensure("wparallel.acc", &p.bufAcc, 4*n, true)
 	p.hostAcc = resize(p.hostAcc, 4*n)
 
-	rp, err := p.run(p.graph(d), p.Name(), n, d.interactions, d.wallSeconds)
+	// The treecode host front (tree, list), the four uploads, the
+	// one-walk-per-group kernel, and the download.
+	p.begin()
+	p.hostFront(d)
+	p.writeF32(p.bufSrc, d.srcF4)
+	p.writeF32(p.bufPos, d.posmSorted)
+	p.writeI32(p.bufLists, d.lists)
+	p.writeI32(p.bufDesc, d.desc)
+	p.launch("wparallel.force", p.kernel(), gpusim.LaunchParams{
+		Global: d.numWalks * p.LocalSize,
+		Local:  p.LocalSize,
+	})
+	p.readF32(p.bufAcc, p.hostAcc)
+	rp, err := p.finish(p.Name(), n, d.interactions, d.wallSeconds)
 	if err != nil {
 		return nil, err
 	}

@@ -25,8 +25,8 @@ type Attribution struct {
 	// Spans is the number of executed stage spans consumed.
 	Spans int `json:"spans"`
 
-	HostSeconds   float64 `json:"hostSeconds"`   // tree + list + other host work
-	DeviceSeconds float64 `json:"deviceSeconds"` // uploads + kernels + reduce + downloads
+	HostSeconds   float64 `json:"hostSeconds"`   // tree + list
+	DeviceSeconds float64 `json:"deviceSeconds"` // uploads + kernels + downloads
 	SerialSeconds float64 `json:"serialSeconds"`
 	// PipelinedSeconds = max(HostSeconds, DeviceSeconds).
 	PipelinedSeconds float64 `json:"pipelinedSeconds"`
@@ -58,30 +58,20 @@ type Attribution struct {
 	HostBuildWallSeconds float64 `json:"hostBuildWallSeconds,omitempty"`
 }
 
-// stageOfKind maps a pipeline stage kind onto the perf stage taxonomy.
-func stageOfKind(k pipeline.Kind) Stage {
-	switch k {
-	case pipeline.Tree:
-		return StageTree
-	case pipeline.List:
-		return StageList
-	case pipeline.Upload:
-		return StageUpload
-	case pipeline.Kernel:
-		return StageKernel
-	case pipeline.Reduce:
-		return StageReduce
-	case pipeline.Download:
-		return StageDownload
-	}
-	return StageOtherHost
+// kindStage maps each pipeline command kind onto the perf stage taxonomy.
+var kindStage = [...]Stage{
+	pipeline.Tree:     StageTree,
+	pipeline.List:     StageList,
+	pipeline.Upload:   StageUpload,
+	pipeline.Kernel:   StageKernel,
+	pipeline.Download: StageDownload,
 }
 
-// AttributeExecuted builds the attribution from an executed stage schedule —
-// the typed record of which stages ran and where they landed on the modelled
-// timeline. Stage kinds come from the graph that actually executed, so no
-// name convention is involved, and the makespan reflects real placement
-// (including any overlap) rather than assuming serial execution.
+// AttributeExecuted builds the attribution from an executed schedule — the
+// typed record of which commands ran and where they landed on the modelled
+// timeline. Stage kinds come from the commands that actually executed, so no
+// name convention is involved, and the makespan is read from where they
+// landed rather than assumed.
 func AttributeExecuted(sched *pipeline.Schedule) Attribution {
 	a := Attribution{
 		StageSeconds:   map[Stage]float64{},
@@ -91,7 +81,7 @@ func AttributeExecuted(sched *pipeline.Schedule) Attribution {
 		return a
 	}
 	for _, sp := range sched.Spans {
-		stage := stageOfKind(sp.Kind)
+		stage := kindStage[sp.Kind]
 		sec := sp.Seconds()
 		a.StageSeconds[stage] += sec
 		a.Spans++

@@ -8,17 +8,17 @@ import (
 )
 
 // span is a StageSpan literal helper (times in seconds on the queue clock).
-func span(stage string, kind pipeline.Kind, start, end float64) pipeline.StageSpan {
-	return pipeline.StageSpan{Stage: stage, Kind: kind, Start: start, End: end}
+func span(kind pipeline.Kind, start, end float64) pipeline.StageSpan {
+	return pipeline.StageSpan{Kind: kind, Start: start, End: end}
 }
 
 func TestAttributeDeviceBound(t *testing.T) {
-	a := AttributeExecuted(&pipeline.Schedule{Graph: "test", Spans: []pipeline.StageSpan{
-		span("tree", pipeline.Tree, 0, 0.001),
-		span("list", pipeline.List, 0.001, 0.003),
-		span("upload:src", pipeline.Upload, 0.003, 0.007),
-		span("force", pipeline.Kernel, 0.007, 0.017),
-		span("download:acc", pipeline.Download, 0.017, 0.020),
+	a := AttributeExecuted(&pipeline.Schedule{Spans: []pipeline.StageSpan{
+		span(pipeline.Tree, 0, 0.001),
+		span(pipeline.List, 0.001, 0.003),
+		span(pipeline.Upload, 0.003, 0.007),
+		span(pipeline.Kernel, 0.007, 0.017),
+		span(pipeline.Download, 0.017, 0.020),
 	}})
 	if a.Spans != 5 {
 		t.Fatalf("spans = %d, want 5", a.Spans)
@@ -56,10 +56,10 @@ func TestAttributeDeviceBound(t *testing.T) {
 }
 
 func TestAttributeHostBound(t *testing.T) {
-	a := AttributeExecuted(&pipeline.Schedule{Graph: "test", Spans: []pipeline.StageSpan{
-		span("tree", pipeline.Tree, 0, 0.030),
-		span("list", pipeline.List, 0.030, 0.050),
-		span("force", pipeline.Kernel, 0.050, 0.060),
+	a := AttributeExecuted(&pipeline.Schedule{Spans: []pipeline.StageSpan{
+		span(pipeline.Tree, 0, 0.030),
+		span(pipeline.List, 0.030, 0.050),
+		span(pipeline.Kernel, 0.050, 0.060),
 	}})
 	if a.CriticalSide != "host" {
 		t.Fatalf("critical side = %q, want host", a.CriticalSide)
@@ -79,19 +79,19 @@ func TestAttributeHostBound(t *testing.T) {
 }
 
 func TestAttributeEmpty(t *testing.T) {
-	a := AttributeExecuted(&pipeline.Schedule{Graph: "test"})
+	a := AttributeExecuted(&pipeline.Schedule{})
 	if a.Spans != 0 || a.SerialSeconds != 0 || len(a.CriticalChain) != 0 {
 		t.Errorf("empty attribution not empty: %+v", a)
 	}
 }
 
 func TestAttributeExecutedSchedule(t *testing.T) {
-	sched := &pipeline.Schedule{Graph: "test", Spans: []pipeline.StageSpan{
-		span("tree", pipeline.Tree, 0, 0.001),
-		span("list", pipeline.List, 0.001, 0.003),
-		span("upload:posm", pipeline.Upload, 0.003, 0.004),
-		span("force", pipeline.Kernel, 0.004, 0.014),
-		span("download:acc", pipeline.Download, 0.014, 0.017),
+	sched := &pipeline.Schedule{Spans: []pipeline.StageSpan{
+		span(pipeline.Tree, 0, 0.001),
+		span(pipeline.List, 0.001, 0.003),
+		span(pipeline.Upload, 0.003, 0.004),
+		span(pipeline.Kernel, 0.004, 0.014),
+		span(pipeline.Download, 0.014, 0.017),
 	}}
 	a := AttributeExecuted(sched)
 	if a.Spans != 5 {
@@ -123,10 +123,10 @@ func TestAttributeExecutedSchedule(t *testing.T) {
 // TestAttributeExecutedOverlappedMakespan: when stages overlap on the
 // executed timeline, the makespan is shorter than the serial sum.
 func TestAttributeExecutedOverlappedMakespan(t *testing.T) {
-	sched := &pipeline.Schedule{Graph: "test", Spans: []pipeline.StageSpan{
-		span("tree", pipeline.Tree, 0, 0.004),          // host chain
-		span("upload:posm", pipeline.Upload, 0, 0.001), // device chain, concurrent
-		span("force", pipeline.Kernel, 0.001, 0.003),
+	sched := &pipeline.Schedule{Spans: []pipeline.StageSpan{
+		span(pipeline.Tree, 0, 0.004),   // host chain
+		span(pipeline.Upload, 0, 0.001), // device chain, concurrent
+		span(pipeline.Kernel, 0.001, 0.003),
 	}}
 	a := AttributeExecuted(sched)
 	if !near(a.SerialSeconds, 0.007) {

@@ -27,29 +27,24 @@ package perf
 // Stage identifies one pipeline stage of a force evaluation for critical-path
 // attribution. The stages mirror the paper's time-breakdown tables: host-side
 // tree build and interaction-list construction, host->device uploads, the
-// force kernel (plus any reduction kernel), and the download of results.
+// force kernel, and the download of results.
 type Stage string
 
 // Pipeline stages, in execution order.
 const (
-	StageTree      Stage = "tree_build"
-	StageList      Stage = "list_build"
-	StageUpload    Stage = "upload"
-	StageKernel    Stage = "kernel"
-	StageReduce    Stage = "reduce"
-	StageDownload  Stage = "download"
-	StageOtherHost Stage = "other_host"
+	StageTree     Stage = "tree_build"
+	StageList     Stage = "list_build"
+	StageUpload   Stage = "upload"
+	StageKernel   Stage = "kernel"
+	StageDownload Stage = "download"
 )
 
-// StageOrder lists the stages in pipeline execution order (StageOtherHost
-// last: modelled host work that is neither tree nor list construction).
-var StageOrder = []Stage{
-	StageTree, StageList, StageUpload, StageKernel, StageReduce, StageDownload, StageOtherHost,
-}
+// StageOrder lists the stages in pipeline execution order.
+var StageOrder = []Stage{StageTree, StageList, StageUpload, StageKernel, StageDownload}
 
 // HostStage reports whether the stage runs on the CPU side of the
 // double-buffered pipeline (the paper's note 4: while the GPU evaluates step
 // t, the CPU builds step t+1's tree and lists).
 func (s Stage) HostStage() bool {
-	return s == StageTree || s == StageList || s == StageOtherHost
+	return s == StageTree || s == StageList
 }

@@ -84,7 +84,7 @@ func (r *Runner) Account(hostSeconds, devSeconds float64) float64 {
 	return r.end() - prev
 }
 
-// AccountSchedule places one executed Graph schedule on the timeline.
+// AccountSchedule places one evaluation's executed schedule on the timeline.
 func (r *Runner) AccountSchedule(s *Schedule) float64 {
 	return r.Account(s.HostSeconds(), s.DeviceSeconds())
 }
