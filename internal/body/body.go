@@ -12,6 +12,7 @@ package body
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/vec"
 )
@@ -163,21 +164,82 @@ func (s *System) KineticEnergy() float64 {
 }
 
 // PotentialEnergy returns the exact pairwise softened potential
-// -G sum_{i<j} m_i m_j / sqrt(r^2 + eps^2). It is O(N^2) and intended for
-// diagnostics and tests, not the simulation loop.
+// -G sum_{i<j} m_i m_j / sqrt(r^2 + eps^2), summed in float64 over i, then
+// j > i, in index order. It is O(N^2), and sim evaluates it at every
+// snapshot of every run. It widens positions and masses to float64 once
+// per call, into a scratch buffer reused across calls, and hands each row
+// i to potentialRow, which on amd64 evaluates two terms per SSE2
+// instruction and subtracts them from the one running sum in order. Every
+// architecture returns the bits of the scalar loop compiled for amd64.
 func (s *System) PotentialEnergy(g, eps float64) float64 {
-	var e float64
-	e2 := eps * eps
+	return s.potentialEnergy(g, eps, potentialRow)
+}
+
+// potentialEnergy is PotentialEnergy with its row routine as a parameter,
+// so the portable row runs on amd64 too.
+func (s *System) potentialEnergy(g, eps float64, row func(x, y, z, m []float64, xi, yi, zi, mi, e2, e float64) float64) float64 {
 	n := s.N()
-	for i := 0; i < n; i++ {
-		pi := s.Pos[i].D3()
-		mi := float64(s.Mass[i])
-		for j := i + 1; j < n; j++ {
-			d := s.Pos[j].D3().Sub(pi)
-			e -= mi * float64(s.Mass[j]) / math.Sqrt(d.Norm2()+e2)
-		}
+	buf := takeEnergyScratch(4 * n)
+	x, y, z, m := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:]
+	for i, p := range s.Pos {
+		x[i], y[i], z[i], m[i] = float64(p.X), float64(p.Y), float64(p.Z), float64(s.Mass[i])
 	}
+	e2 := eps * eps
+	var e float64
+	// One call per row: the Go runtime does not preempt assembly, so a row
+	// is the longest stretch the loop runs without a preemption point.
+	for i := 0; i < n; i++ {
+		e = row(x[i+1:], y[i+1:], z[i+1:], m[i+1:], x[i], y[i], z[i], m[i], e2, e)
+	}
+	putEnergyScratch(buf)
 	return g * e
+}
+
+// potentialRowGo subtracts the term mi*m[j] / sqrt(dx*dx + dy*dy + dz*dz +
+// e2) of the body at (xi, yi, zi) and each source j, in order, from e and
+// returns it. Each product that feeds a sum is converted explicitly, so no
+// compiler fuses it into a multiply-add: every architecture rounds as
+// amd64 does.
+func potentialRowGo(x, y, z, m []float64, xi, yi, zi, mi, e2, e float64) float64 {
+	y, z, m = y[:len(x)], z[:len(x)], m[:len(x)]
+	for j := range x {
+		dx, dy, dz := x[j]-xi, y[j]-yi, z[j]-zi
+		r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz) + e2
+		e -= mi * m[j] / math.Sqrt(r2)
+	}
+	return e
+}
+
+// energyScratch is PotentialEnergy's free list of scratch buffers: a
+// mutex-guarded slice, not a sync.Pool, which under the race detector
+// drops a random share of what it is given. It holds at most as many
+// buffers as calls have run at once.
+var energyScratch struct {
+	sync.Mutex
+	free [][]float64
+}
+
+// takeEnergyScratch returns a free buffer of length n, or a new one when
+// the last free buffer is too short (which is then dropped).
+func takeEnergyScratch(n int) []float64 {
+	var buf []float64
+	energyScratch.Lock()
+	if k := len(energyScratch.free); k > 0 {
+		buf = energyScratch.free[k-1]
+		energyScratch.free = energyScratch.free[:k-1]
+	}
+	energyScratch.Unlock()
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// putEnergyScratch returns a buffer to the free list.
+func putEnergyScratch(buf []float64) {
+	energyScratch.Lock()
+	energyScratch.free = append(energyScratch.free, buf)
+	energyScratch.Unlock()
 }
 
 // ZeroAcc clears the acceleration scratch space.

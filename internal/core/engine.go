@@ -203,16 +203,22 @@ func (e *Engine) SetHostWorkers(n int) {
 	}
 }
 
-// RetainSchedules enables executed-schedule retention: every subsequent
-// evaluation's stage schedule is appended (time-shifted onto one continuous
-// timeline) to the schedule RetainedSchedule returns, keeping at most
-// maxSpans stage spans. maxSpans <= 0 disables retention. Calling it resets
-// any previously retained schedule.
+// RetainSchedules starts a new accounting window and sets its
+// executed-schedule retention: every subsequent evaluation's stage schedule
+// is appended (time-shifted onto one continuous timeline) to the schedule
+// RetainedSchedule returns, keeping at most maxSpans stage spans; maxSpans
+// <= 0 disables retention. Calling it drops any previously retained
+// schedule, zeroes the serial accumulators and restarts the executed
+// timeline, so the totals cover exactly the evaluations the retained
+// schedule does, summed from zero whatever the engine ran before.
 func (e *Engine) RetainSchedules(maxSpans int) {
 	e.retainMax = maxSpans
 	e.retained = pipeline.Schedule{}
 	e.retainEnd = 0
 	e.retainTrunc = false
+	e.KernelSeconds, e.TransferSeconds, e.HostSeconds, e.HostBuildSeconds = 0, 0, 0, 0
+	e.Flops, e.Interactions, e.Evaluations = 0, 0, 0
+	e.runner = pipeline.Runner{}
 }
 
 // RetainedSchedule returns a copy of the merged executed schedule accumulated

@@ -2,7 +2,12 @@
 
 package pp
 
-// accumulateTileLanes4 is the SSE routine's stand-in on other
-// architectures: it runs no lane, so AccumulateTileLanes runs every lane
-// through AccumulateTile.
+// haveAVX is false off amd64: AccumulateTileLanes runs no packed routine.
+const haveAVX = false
+
+// accumulateTileLanes4 and accumulateTileLanes8 are the packed routines'
+// stand-ins on other architectures: they run no lane, so
+// AccumulateTileLanes runs every lane through AccumulateTile.
 func accumulateTileLanes4(px, py, pz, ax, ay, az, tile []float32, eps2 float32) int { return 0 }
+
+func accumulateTileLanes8(px, py, pz, ax, ay, az, tile []float32, eps2 float32) int { return 0 }

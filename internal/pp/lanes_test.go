@@ -3,6 +3,8 @@ package pp
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -63,21 +65,51 @@ func (e edgeValues) mass() float32 {
 	return float32(e.r.Float64())
 }
 
+// lanesLeaf is a lanes leaf under test, named for the widths it runs.
+type lanesLeaf struct {
+	name string
+	fn   func(px, py, pz, ax, ay, az, tile []float32, eps2 float32)
+}
+
+// ladder returns a lanes leaf that runs one packed routine on the lanes it
+// covers and the rest through the portable per-lane loop.
+func ladder(routine func(px, py, pz, ax, ay, az, tile []float32, eps2 float32) int) func(px, py, pz, ax, ay, az, tile []float32, eps2 float32) {
+	return func(px, py, pz, ax, ay, az, tile []float32, eps2 float32) {
+		l := routine(px, py, pz, ax, ay, az, tile, eps2)
+		accumulateTileLanesGo(px[l:], py[l:], pz[l:], ax[l:], ay[l:], az[l:], tile, eps2)
+	}
+}
+
+// widths returns one leaf per lane width this machine can run: the
+// eight-lane AVX routine where the CPU has AVX, the four-lane SSE routine
+// on amd64 (what an amd64 CPU without AVX runs), each followed by the
+// per-lane loop, and the portable per-lane loop that other architectures
+// run.
+func widths() []lanesLeaf {
+	var ls []lanesLeaf
+	if haveAVX {
+		ls = append(ls, lanesLeaf{"avx8", ladder(accumulateTileLanes8)})
+	}
+	if runtime.GOARCH == "amd64" {
+		ls = append(ls, lanesLeaf{"sse4", ladder(accumulateTileLanes4)})
+	}
+	return append(ls, lanesLeaf{"portable", accumulateTileLanesGo})
+}
+
 // TestAccumulateTileLanesBitwise requires every lane of AccumulateTileLanes,
-// and of the portable per-lane loop that other architectures run, to equal
-// AccumulateTile for that lane bit for bit (or both NaN), for every lane
-// count 0-70 and tile length 0-80, including zero softening with bodies
-// coincident with sources (r2 == 0), zero-mass sources, and ±0, subnormal
-// and infinite inputs. Lanes past len(px) must be left alone.
+// and of every lane width on its own, to equal AccumulateTile for that lane
+// bit for bit (or both NaN), for every lane count 0-70 and tile length
+// 0-80, including zero softening with bodies coincident with sources
+// (r2 == 0), zero-mass sources, and ±0, subnormal and infinite inputs.
+// Lanes past len(px) must be left alone. It logs the widths it ran.
 func TestAccumulateTileLanesBitwise(t *testing.T) {
 	r := rng.New(3)
-	leaves := []struct {
-		name string
-		fn   func(px, py, pz, ax, ay, az, tile []float32, eps2 float32)
-	}{
-		{"AccumulateTileLanes", AccumulateTileLanes},
-		{"portable", accumulateTileLanesGo},
+	leaves := append([]lanesLeaf{{"AccumulateTileLanes", AccumulateTileLanes}}, widths()...)
+	var names []string
+	for _, leaf := range leaves[1:] {
+		names = append(names, leaf.name)
 	}
+	t.Logf("lane widths: %s", strings.Join(names, ", "))
 	const guard = 3 // sentinel lanes past len(px) in every running sum
 	sentinel := float32(-7.25)
 	for n := 0; n <= 70; n++ {
@@ -143,8 +175,8 @@ func clone(s []float32, sentinel float32, n int) []float32 {
 var benchSink float32
 
 // BenchmarkAccumulateTileLanes folds a 64-source tile into 24 lanes, the
-// shape of a jw walk, through the lanes leaf and through the per-lane
-// AccumulateTile loop, and reports ns per interaction for each.
+// shape of a jw walk, through each lane width this machine runs, and
+// reports ns per interaction for each.
 func BenchmarkAccumulateTileLanes(b *testing.B) {
 	const lanes, sources = 24, 64
 	r := rng.New(4)
@@ -159,13 +191,7 @@ func BenchmarkAccumulateTileLanes(b *testing.B) {
 			st[c][l] = float32(r.NormFloat64())
 		}
 	}
-	for _, leaf := range []struct {
-		name string
-		fn   func(px, py, pz, ax, ay, az, tile []float32, eps2 float32)
-	}{
-		{"lanes", AccumulateTileLanes},
-		{"per-lane", accumulateTileLanesGo},
-	} {
+	for _, leaf := range widths() {
 		b.Run(fmt.Sprintf("%s/lanes=%d/sources=%d", leaf.name, lanes, sources), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				leaf.fn(st[0], st[1], st[2], st[3], st[4], st[5], tile, 0.0025)

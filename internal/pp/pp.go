@@ -12,14 +12,14 @@
 // N-body literature when reporting GFLOPS.
 //
 // Every engine, CPU or emulated GPU, computes an interaction through one
-// inlinable body, AccumulateInto, or through its packed SSE form, which
-// rounds every lane as the body does. Kernels do not loop over sources
-// themselves. A work-group's lanes fold a staged tile into their running
-// sums with one AccumulateTileLanes call, or stream an interaction list
-// with one AccumulateGatherLanes call; on amd64 both evaluate four lanes
-// per instruction, and the leftover lanes and every other architecture run
-// AccumulateTile, the per-lane reference. The jerk kernel's lanes call
-// AccumulateJerkTile one by one.
+// inlinable body, AccumulateInto, or through its packed AVX or SSE form,
+// which rounds every lane as the body does. Kernels do not loop over
+// sources themselves. A work-group's lanes fold a staged tile into their
+// running sums with one AccumulateTileLanes call, or stream an interaction
+// list with one AccumulateGatherLanes call; on amd64 both evaluate eight
+// lanes per instruction where the CPU has AVX, then four, and the leftover
+// lanes and every other architecture run AccumulateTile, the per-lane
+// reference. The jerk kernel's lanes call AccumulateJerkTile one by one.
 package pp
 
 import (
@@ -84,14 +84,18 @@ func AccumulateTile(px, py, pz, ax, ay, az float32, tile []float32, eps2 float32
 // into the running sum (ax[l],ay[l],az[l]) of every lane l, whose body sits
 // at (px[l],py[l],pz[l]). Each lane ends with the bits AccumulateTile
 // returns for it. py, pz, ax, ay and az must be at least len(px) long. It
-// is the tile leaf of the kernels that stage sources through local memory:
-// on amd64 it runs four lanes per SSE instruction and the len(px)%4
-// leftover lanes through AccumulateTile; elsewhere every lane runs through
-// AccumulateTile.
+// is the tile leaf of the kernels that stage sources through local memory.
+// On amd64 it runs groups of eight lanes per AVX instruction where the CPU
+// has AVX, then groups of four per SSE instruction, and the leftover lanes
+// through AccumulateTile; elsewhere every lane runs through AccumulateTile.
 func AccumulateTileLanes(px, py, pz, ax, ay, az, tile []float32, eps2 float32) {
 	n := len(px)
 	py, pz, ax, ay, az = py[:n], pz[:n], ax[:n], ay[:n], az[:n]
-	l := accumulateTileLanes4(px, py, pz, ax, ay, az, tile, eps2)
+	l := 0
+	if haveAVX {
+		l = accumulateTileLanes8(px, py, pz, ax, ay, az, tile, eps2)
+	}
+	l += accumulateTileLanes4(px[l:], py[l:], pz[l:], ax[l:], ay[l:], az[l:], tile, eps2)
 	accumulateTileLanesGo(px[l:], py[l:], pz[l:], ax[l:], ay[l:], az[l:], tile, eps2)
 }
 

@@ -19,8 +19,8 @@ const maxRetainedSpans = 100_000
 
 // JobPerf is the per-job performance attribution (GET /v1/jobs/{id}/perf):
 // the executed stage schedule of everything the job ran on its engine,
-// attributed by perf.AttributeExecuted, plus the engine's counter deltas over
-// the job. It is computed once, when the job's successful attempt finishes,
+// attributed by perf.AttributeExecuted, plus the engine's totals over the
+// job. It is computed once, when the job's successful attempt finishes,
 // from what actually executed — not re-derived from a model afterwards.
 type JobPerf struct {
 	SchemaVersion int    `json:"schema_version"`
@@ -36,8 +36,8 @@ type JobPerf struct {
 	// stage seconds/fractions, host/device split, critical chain, makespan.
 	Attribution perf.Attribution `json:"attribution"`
 
-	// Engine counter deltas over the job: modelled seconds by kind, useful
-	// flops, and evaluation count.
+	// Engine totals over the attempt, summed from zero: modelled seconds by
+	// kind, useful flops, and evaluation count.
 	Evaluations     int     `json:"evaluations"`
 	KernelSeconds   float64 `json:"kernel_seconds"`
 	TransferSeconds float64 `json:"transfer_seconds"`
@@ -90,26 +90,6 @@ func (p *JobPerf) Summary() *JobPerfSummary {
 	}
 }
 
-// engineCounters is a point-in-time copy of a core.Engine's accumulators; the
-// difference of two copies is what one job did (the pool hands a slot to one
-// job at a time, so the interval is exclusively the job's).
-type engineCounters struct {
-	kernel, transfer, host, executed float64
-	flops                            int64
-	evals                            int
-}
-
-func readEngineCounters(pe *core.Engine) engineCounters {
-	return engineCounters{
-		kernel:   pe.KernelSeconds,
-		transfer: pe.TransferSeconds,
-		host:     pe.HostSeconds,
-		executed: pe.ExecutedSeconds(),
-		flops:    pe.Flops,
-		evals:    pe.Evaluations,
-	}
-}
-
 // weightedDeviceFill is the kernel-time-weighted mean device fill over the
 // launches.
 func weightedDeviceFill(dev gpusim.DeviceConfig, launches []*gpusim.Result) float64 {
@@ -127,13 +107,15 @@ func weightedDeviceFill(dev gpusim.DeviceConfig, launches []*gpusim.Result) floa
 
 // buildJobPerf assembles the attribution after a finished attempt. Every plan
 // returns its executed stage schedule (a multi-device plan, its slowest
-// device's), so it returns nil only when the attempt ran no evaluation.
-func buildJobPerf(j *job, slotID int, dev gpusim.DeviceConfig, pe *core.Engine, before engineCounters, wall time.Duration) *JobPerf {
+// device's), so it returns nil only when the attempt ran no evaluation. The
+// attempt armed retention, which restarted the engine's totals, so they are
+// the attempt's own sums from zero and their bits do not depend on the jobs
+// the engine ran before.
+func buildJobPerf(j *job, slotID int, dev gpusim.DeviceConfig, pe *core.Engine, wall time.Duration) *JobPerf {
 	sched, truncated := pe.RetainedSchedule()
 	if sched == nil {
 		return nil
 	}
-	after := readEngineCounters(pe)
 	p := &JobPerf{
 		SchemaVersion:     JobPerfSchemaVersion,
 		JobID:             j.id,
@@ -143,12 +125,12 @@ func buildJobPerf(j *job, slotID int, dev gpusim.DeviceConfig, pe *core.Engine, 
 		Steps:             j.spec.Steps,
 		Engine:            slotID,
 		Attribution:       perf.AttributeExecuted(sched),
-		Evaluations:       after.evals - before.evals,
-		KernelSeconds:     after.kernel - before.kernel,
-		TransferSeconds:   after.transfer - before.transfer,
-		HostSeconds:       after.host - before.host,
-		ExecutedSeconds:   after.executed - before.executed,
-		Flops:             after.flops - before.flops,
+		Evaluations:       pe.Evaluations,
+		KernelSeconds:     pe.KernelSeconds,
+		TransferSeconds:   pe.TransferSeconds,
+		HostSeconds:       pe.HostSeconds,
+		ExecutedSeconds:   pe.ExecutedSeconds(),
+		Flops:             pe.Flops,
 		DeviceFill:        weightedDeviceFill(dev, sched.Launches()),
 		WallSeconds:       wall.Seconds(),
 		ScheduleSpans:     len(sched.Spans),

@@ -102,6 +102,55 @@ func TestJobPerfAttributionSumsToMakespan(t *testing.T) {
 	}
 }
 
+// TestJobPerfIndependentOfEngineHistory runs one spec on a fresh engine
+// slot, then a different job on the same slot's cached engine, then the
+// spec again: both runs of the spec must report the same bits in their
+// modelled seconds and the same flops. The totals are the attempt's own,
+// summed from zero, not differences of the engine's running totals, whose
+// last bits would depend on the jobs that ran before.
+func TestJobPerfIndependentOfEngineHistory(t *testing.T) {
+	svc, _ := testService(t, 1, 4)
+	spec := quickJob(200, 6)
+	spec.Plan = "jw-parallel"
+	spec.Pipeline = "overlap"
+	other := quickJob(333, 5)
+	other.Plan = "jw-parallel"
+	other.Scenario.Seed = 2
+	var runs []*JobPerf
+	for _, s := range []JobSpec{spec, other, spec} {
+		st, err := svc.SubmitTraced(s, obs.TraceContext{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := await(t, svc, st.ID); final.State != StateDone {
+			t.Fatalf("job state %s, error %q", final.State, final.Error)
+		}
+		p, err := svc.JobPerf(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, p)
+	}
+	a, b := runs[0], runs[2]
+	for _, f := range []struct {
+		name     string
+		got, was float64
+	}{
+		{"kernel_seconds", b.KernelSeconds, a.KernelSeconds},
+		{"transfer_seconds", b.TransferSeconds, a.TransferSeconds},
+		{"host_seconds", b.HostSeconds, a.HostSeconds},
+		{"executed_seconds", b.ExecutedSeconds, a.ExecutedSeconds},
+	} {
+		if math.Float64bits(f.got) != math.Float64bits(f.was) {
+			t.Errorf("%s: %v after another job, %v on a fresh slot", f.name, f.got, f.was)
+		}
+	}
+	if b.Flops != a.Flops || b.Evaluations != a.Evaluations {
+		t.Errorf("flops %d and evaluations %d after another job, %d and %d on a fresh slot",
+			b.Flops, b.Evaluations, a.Flops, a.Evaluations)
+	}
+}
+
 // TestHTTPPerfAndStats drives the two new read surfaces over HTTP.
 func TestHTTPPerfAndStats(t *testing.T) {
 	srv, svc := testHTTP(t, 1, 4)

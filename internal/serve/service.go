@@ -869,17 +869,15 @@ func (s *Service) attempt(j *job, attempt int) (retry bool, err error) {
 		}
 		mode = pipeline.Overlap
 	}
-	// Arm executed-schedule retention (and snapshot the engine's counters) so
-	// the attempt ends with a perf attribution over what actually executed.
-	// The slot is held exclusively for the attempt, so the counter deltas are
-	// this job's alone.
+	// Arm executed-schedule retention, which also restarts the engine's
+	// totals, so the attempt ends with a perf attribution over what actually
+	// executed. The slot is held exclusively for the attempt, so the totals
+	// are this job's alone.
 	var pe *core.Engine
-	var before engineCounters
 	if ce, ok := eng.(*core.Engine); ok {
 		pe = ce
 		pe.Mode = mode
 		pe.RetainSchedules(maxRetainedSpans)
-		before = readEngineCounters(pe)
 	} else if mode == pipeline.Overlap {
 		s.pool.release(sl)
 		return false, fmt.Errorf("plan %s does not support pipeline overlap", spec.Plan)
@@ -914,7 +912,7 @@ func (s *Service) attempt(j *job, attempt int) (retry bool, err error) {
 	// Attribute the attempt's executed schedule before the slot moves on —
 	// failed attempts keep their attribution too (it is debug-bundle input).
 	if pe != nil {
-		if p := buildJobPerf(j, sl.id, sl.dev, pe, before, time.Since(attemptStart)); p != nil {
+		if p := buildJobPerf(j, sl.id, sl.dev, pe, time.Since(attemptStart)); p != nil {
 			j.mu.Lock()
 			j.perf = p
 			j.status.Perf = p.Summary()
@@ -925,7 +923,7 @@ func (s *Service) attempt(j *job, attempt int) (retry bool, err error) {
 					"spans":       strconv.Itoa(p.ScheduleSpans),
 				}})
 		}
-		pe.RetainSchedules(0) // drop the retained spans with the job
+		pe.RetainSchedules(0) // drop the retained spans and totals with the job
 	}
 
 	if runErr == nil {

@@ -149,8 +149,10 @@ type Config struct {
 	DTMin, DTMax float32
 	Eta          float32
 	// SnapshotEvery records diagnostics every k steps (and always at step 0
-	// and the final step). Zero disables intermediate snapshots. Snapshots
-	// cost an O(N^2) exact potential evaluation each.
+	// and the final step). Zero disables intermediate snapshots. Each
+	// snapshot evaluates the exact O(N^2) float64 potential,
+	// body.System.PotentialEnergy, on the calling goroutine, so at large N
+	// a snapshot costs wall time of the order of a force evaluation.
 	SnapshotEvery int
 	// G and Eps are used only for the energy diagnostics; they should match
 	// the engine's parameters.
