@@ -12,6 +12,7 @@ package body
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"repro/internal/vec"
@@ -115,13 +116,17 @@ func (s *System) TotalMass() float64 {
 	return m
 }
 
+// The float64 diagnostics below convert each product that feeds a sum
+// explicitly, as potentialRowGo does, so no compiler fuses it into a
+// multiply-add: every architecture rounds as amd64 does.
+
 // CenterOfMass returns the mass-weighted mean position.
 func (s *System) CenterOfMass() vec.D3 {
 	var com vec.D3
 	var m float64
 	for i := range s.Pos {
 		w := float64(s.Mass[i])
-		com = com.Add(s.Pos[i].D3().Scale(w))
+		com = com.Add(scaled(s.Pos[i], w))
 		m += w
 	}
 	if m == 0 {
@@ -134,7 +139,7 @@ func (s *System) CenterOfMass() vec.D3 {
 func (s *System) Momentum() vec.D3 {
 	var p vec.D3
 	for i := range s.Vel {
-		p = p.Add(s.Vel[i].D3().Scale(float64(s.Mass[i])))
+		p = p.Add(scaled(s.Vel[i], float64(s.Mass[i])))
 	}
 	return p
 }
@@ -146,9 +151,9 @@ func (s *System) AngularMomentum() vec.D3 {
 		r := s.Pos[i].D3()
 		v := s.Vel[i].D3().Scale(float64(s.Mass[i]))
 		l = l.Add(vec.D3{
-			X: r.Y*v.Z - r.Z*v.Y,
-			Y: r.Z*v.X - r.X*v.Z,
-			Z: r.X*v.Y - r.Y*v.X,
+			X: float64(r.Y*v.Z) - float64(r.Z*v.Y),
+			Y: float64(r.Z*v.X) - float64(r.X*v.Z),
+			Z: float64(r.X*v.Y) - float64(r.Y*v.X),
 		})
 	}
 	return l
@@ -158,9 +163,17 @@ func (s *System) AngularMomentum() vec.D3 {
 func (s *System) KineticEnergy() float64 {
 	var e float64
 	for i := range s.Vel {
-		e += 0.5 * float64(s.Mass[i]) * s.Vel[i].D3().Norm2()
+		v := s.Vel[i].D3()
+		v2 := float64(v.X*v.X) + float64(v.Y*v.Y) + float64(v.Z*v.Z)
+		e += float64(0.5 * float64(s.Mass[i]) * v2)
 	}
 	return e
+}
+
+// scaled returns w·v in float64, each product rounded on its own.
+func scaled(v vec.V3, w float64) vec.D3 {
+	d := v.D3()
+	return vec.D3{X: float64(w * d.X), Y: float64(w * d.Y), Z: float64(w * d.Z)}
 }
 
 // PotentialEnergy returns the exact pairwise softened potential
@@ -170,7 +183,10 @@ func (s *System) KineticEnergy() float64 {
 // per call, into a scratch buffer reused across calls, and hands each row
 // i to potentialRow, which on amd64 evaluates two terms per SSE2
 // instruction and subtracts them from the one running sum in order. Every
-// architecture returns the bits of the scalar loop compiled for amd64.
+// architecture returns the bits of the scalar loop compiled for amd64. The
+// sum yields the processor after a row once energyYieldTerms terms have
+// been summed since its last yield, so at large N it holds up neither a
+// stop of the world nor a goroutine that wakes on its processor.
 func (s *System) PotentialEnergy(g, eps float64) float64 {
 	return s.potentialEnergy(g, eps, potentialRow)
 }
@@ -186,14 +202,26 @@ func (s *System) potentialEnergy(g, eps float64, row func(x, y, z, m []float64, 
 	}
 	e2 := eps * eps
 	var e float64
-	// One call per row: the Go runtime does not preempt assembly, so a row
-	// is the longest stretch the loop runs without a preemption point.
+	// The amd64 row is NOSPLIT assembly: the runtime cannot preempt it, it
+	// has no stack check to stop at, and a signal almost never lands in
+	// this loop between two calls. So without the yield a stop of the
+	// world, or a goroutine woken on this processor, waits for the whole
+	// O(N^2) sum.
+	terms := 0
 	for i := 0; i < n; i++ {
 		e = row(x[i+1:], y[i+1:], z[i+1:], m[i+1:], x[i], y[i], z[i], m[i], e2, e)
+		if terms += n - 1 - i; terms >= energyYieldTerms {
+			runtime.Gosched()
+			terms = 0
+		}
 	}
 	putEnergyScratch(buf)
 	return g * e
 }
+
+// energyYieldTerms is how many terms potentialEnergy sums between yields,
+// about 60 µs of the SSE2 row.
+const energyYieldTerms = 1 << 15
 
 // potentialRowGo subtracts the term mi*m[j] / sqrt(dx*dx + dy*dy + dz*dz +
 // e2) of the body at (xi, yi, zi) and each source j, in order, from e and

@@ -5,7 +5,9 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/rng"
 	"repro/internal/vec"
@@ -189,6 +191,164 @@ func TestPotentialEnergyConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestPotentialEnergyYields requires a long PotentialEnergy call to let
+// other goroutines run. Under GOMAXPROCS(1), a goroutine that wakes 1 ms
+// into a call at N 8192 must run within the first half of the time the
+// call takes alone (tens of ms), not when the call ends: the NOSPLIT rows
+// give the runtime no preemption point, so only the sum's own yields do.
+func TestPotentialEnergyYields(t *testing.T) {
+	s := energySystem(rng.New(11), 8192, nil)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	begin := time.Now()
+	s.PotentialEnergy(1, 0.05)
+	alone := time.Since(begin)
+
+	var ran atomic.Int64
+	done := make(chan struct{})
+	begin = time.Now()
+	go func() {
+		defer close(done)
+		time.Sleep(time.Millisecond)
+		ran.Store(int64(time.Since(begin)))
+	}()
+	s.PotentialEnergy(1, 0.05)
+	took := time.Since(begin)
+	after := time.Duration(ran.Load())
+	<-done
+	t.Logf("N 8192: the call takes %v alone, %v with the goroutine, which ran %v after the call began", alone, took, after)
+	if after == 0 || after > alone/2 {
+		t.Fatalf("a goroutine woken 1 ms into a %v call ran %v after it began (0: not before the call returned), want within %v",
+			alone, after, alone/2)
+	}
+}
+
+// The diagnostics as they were written before each product that feeds a
+// sum was converted explicitly. gc fuses no multiply-add on amd64, so there
+// they are the loops the converted forms must reproduce bit for bit.
+
+func centerOfMassRef(s *System) vec.D3 {
+	var com vec.D3
+	var m float64
+	for i := range s.Pos {
+		w := float64(s.Mass[i])
+		com = com.Add(s.Pos[i].D3().Scale(w))
+		m += w
+	}
+	if m == 0 {
+		return vec.D3{}
+	}
+	return com.Scale(1 / m)
+}
+
+func momentumRef(s *System) vec.D3 {
+	var p vec.D3
+	for i := range s.Vel {
+		p = p.Add(s.Vel[i].D3().Scale(float64(s.Mass[i])))
+	}
+	return p
+}
+
+func angularMomentumRef(s *System) vec.D3 {
+	var l vec.D3
+	for i := range s.Pos {
+		r := s.Pos[i].D3()
+		v := s.Vel[i].D3().Scale(float64(s.Mass[i]))
+		l = l.Add(vec.D3{
+			X: r.Y*v.Z - r.Z*v.Y,
+			Y: r.Z*v.X - r.X*v.Z,
+			Z: r.X*v.Y - r.Y*v.X,
+		})
+	}
+	return l
+}
+
+func kineticEnergyRef(s *System) float64 {
+	var e float64
+	for i := range s.Vel {
+		e += 0.5 * float64(s.Mass[i]) * s.Vel[i].D3().Norm2()
+	}
+	return e
+}
+
+func recenterRef(s *System) {
+	com := centerOfMassRef(s).V3()
+	m := s.TotalMass()
+	var vel vec.V3
+	if m > 0 {
+		vel = momentumRef(s).Scale(1 / m).V3()
+	}
+	for i := range s.Pos {
+		s.Pos[i] = s.Pos[i].Sub(com)
+		s.Vel[i] = s.Vel[i].Sub(vel)
+	}
+}
+
+// TestDiagnosticsBitwise requires CenterOfMass, Momentum, AngularMomentum,
+// KineticEnergy and Recenter to return the bits of their unconverted loops
+// (or NaN where those do) for N 0-70 and 2047, over every input family of
+// TestPotentialEnergyBitwise with normal-deviate velocities that the
+// family edits as it edits positions.
+func TestDiagnosticsBitwise(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the unconverted loops round as the converted ones only on amd64")
+	}
+	r := rng.New(12)
+	sizes := []int{2047}
+	for n := 0; n <= 70; n++ {
+		sizes = append(sizes, n)
+	}
+	sameD3 := func(got, want vec.D3) bool {
+		return sameBits64(got.X, want.X) && sameBits64(got.Y, want.Y) && sameBits64(got.Z, want.Z)
+	}
+	for _, n := range sizes {
+		for _, c := range energyCases {
+			s := energySystem(r, n, nil)
+			for i := range s.Vel {
+				s.Vel[i] = vec.V3{X: float32(r.NormFloat64()), Y: float32(r.NormFloat64()), Z: float32(r.NormFloat64())}
+			}
+			if c.edit != nil {
+				// The family edits velocities as positions: run it on a
+				// copy whose positions are the velocities.
+				c.edit(r, s)
+				v := &System{Pos: s.Vel, Mass: s.Mass}
+				c.edit(r, v)
+			}
+			for _, d := range []struct {
+				name      string
+				got, want vec.D3
+			}{
+				{"CenterOfMass", s.CenterOfMass(), centerOfMassRef(s)},
+				{"Momentum", s.Momentum(), momentumRef(s)},
+				{"AngularMomentum", s.AngularMomentum(), angularMomentumRef(s)},
+			} {
+				if !sameD3(d.got, d.want) {
+					t.Fatalf("%s: N %d, %s: got %v, unconverted loop %v", d.name, n, c.name, d.got, d.want)
+				}
+			}
+			if got, want := s.KineticEnergy(), kineticEnergyRef(s); !sameBits64(got, want) {
+				t.Fatalf("KineticEnergy: N %d, %s: got %v (%#x), unconverted loop %v (%#x)",
+					n, c.name, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			got, want := s.Clone(), s.Clone()
+			got.Recenter()
+			recenterRef(want)
+			for i := range got.Pos {
+				if !sameV3(got.Pos[i], want.Pos[i]) || !sameV3(got.Vel[i], want.Vel[i]) {
+					t.Fatalf("Recenter: N %d, %s: body %d at %v, %v; unconverted %v, %v",
+						n, c.name, i, got.Pos[i], got.Vel[i], want.Pos[i], want.Vel[i])
+				}
+			}
+		}
+	}
+}
+
+// sameV3 reports whether got has want's bits, component by component, or
+// both components are NaN.
+func sameV3(got, want vec.V3) bool {
+	same := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b) }
+	return same(got.X, want.X) && same(got.Y, want.Y) && same(got.Z, want.Z)
 }
 
 var energySink float64

@@ -94,6 +94,20 @@ func CorpusCases() []CorpusCase {
 		{Name: "deprecated_jparallel", AsPath: "repro/internal/planfix", Want: []CorpusWant{
 			{Rule: "deprecatedapi", File: "fix.go", Line: 11},
 		}},
+		{Name: "stw_stats", AsPath: "repro/internal/statsfix", Want: []CorpusWant{
+			{Rule: "stoptheworld", File: "fix.go", Line: 17},
+			{Rule: "stoptheworld", File: "fix.go", Line: 23},
+			{Rule: "stoptheworld", File: "fix.go", Line: 24},
+			{Rule: "stoptheworld", File: "fix.go", Line: 25},
+		}},
+		{Name: "stw_args", AsPath: "repro/internal/serve/stwfix", Want: []CorpusWant{
+			{Rule: "stoptheworld", File: "fix.go", Line: 17},
+			{Rule: "stoptheworld", File: "fix.go", Line: 18},
+			{Rule: "stoptheworld", File: "fix.go", Line: 26},
+			{Rule: "stoptheworld", File: "fix.go", Line: 27},
+			{Rule: "stoptheworld", File: "fix.go", Line: 35},
+			{Rule: "stoptheworld", File: "fix.go", Line: 39},
+		}},
 		{Name: "sup_unused", AsPath: "repro/internal/supfix", Want: []CorpusWant{
 			{Rule: "suppression", File: "fix.go", Line: 4},
 		}},

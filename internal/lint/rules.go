@@ -41,6 +41,9 @@ func Rules() []*Rule {
 		{Name: "metricname", Sev: SevWarning,
 			Doc: "obs metric registrations use the dotted lowercase convention and one kind per name",
 			Run: runMetricName},
+		{Name: "stoptheworld", Sev: SevError,
+			Doc: "no calls to runtime entry points that stop the world (ReadMemStats, GC, GOMAXPROCS(n), Stack(all), goroutine profiles, heap dumps, tracer start)",
+			Run: runStopTheWorld},
 		{Name: "deprecatedapi", Sev: SevWarning,
 			Doc: "no calls to functions documented Deprecated: outside their own package",
 			Run: runDeprecatedAPI},

@@ -310,7 +310,7 @@ func writeTarGz(path string, members map[string][]byte) (int64, error) {
 // captureHeapProfile returns the heap profile, nil on failure.
 func captureHeapProfile() []byte {
 	var buf bytes.Buffer
-	runtime.GC() // an up-to-date heap profile is the point of the capture
+	runtime.GC() // repocheck:allow stoptheworld -- an up-to-date heap profile is the point of the capture, which an anomaly triggers at most once per interval
 	if err := pprof.WriteHeapProfile(&buf); err != nil {
 		return nil
 	}
@@ -320,7 +320,7 @@ func captureHeapProfile() []byte {
 // captureGoroutines returns the full goroutine dump.
 func captureGoroutines() []byte {
 	var buf bytes.Buffer
-	pprof.Lookup("goroutine").WriteTo(&buf, 1)
+	pprof.Lookup("goroutine").WriteTo(&buf, 1) // repocheck:allow stoptheworld -- the goroutine dump is what a debug bundle is for, and an anomaly triggers it at most once per interval
 	return buf.Bytes()
 }
 

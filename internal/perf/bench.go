@@ -271,7 +271,6 @@ func RunBenchContext(ctx context.Context, cfg BenchConfig) (*BenchReport, error)
 			var kernel, transfer, host, total, wall, gflops, pipelined []float64
 			var hostBuild, allocs []float64
 			var prof *core.RunProfile
-			var ms runtime.MemStats
 			for r := 0; r < repeats; r++ {
 				// The final repeat's span bundle feeds the merged trace
 				// (TraceOut), so it must cover exactly one evaluation.
@@ -279,12 +278,11 @@ func RunBenchContext(ctx context.Context, cfg BenchConfig) (*BenchReport, error)
 					o.Trace.Reset()
 				}
 				in := sys.Clone()
-				runtime.ReadMemStats(&ms)
-				mallocsBefore := ms.Mallocs
+				mallocsBefore := mallocs()
 				begin := time.Now()
 				prof, err = plan.Accel(in)
 				wallSec := time.Since(begin).Seconds()
-				runtime.ReadMemStats(&ms)
+				mallocsAfter := mallocs()
 				if err != nil {
 					return nil, fmt.Errorf("perf: %s at N=%d: %w", name, n, err)
 				}
@@ -296,7 +294,7 @@ func RunBenchContext(ctx context.Context, cfg BenchConfig) (*BenchReport, error)
 				gflops = append(gflops, prof.KernelGFLOPS())
 				pipelined = append(pipelined, runner.AccountSchedule(prof.Schedule)*1e3)
 				hostBuild = append(hostBuild, prof.HostBuildSeconds*1e3)
-				allocs = append(allocs, float64(ms.Mallocs-mallocsBefore))
+				allocs = append(allocs, float64(mallocsAfter-mallocsBefore))
 			}
 
 			pt := BenchPoint{
@@ -346,6 +344,15 @@ func RunBenchContext(ctx context.Context, cfg BenchConfig) (*BenchReport, error)
 	return rep, nil
 }
 
+// mallocs returns the number of heap objects the process has allocated so
+// far. RunBench reads it around one evaluation at a time (or one Hermite
+// repeat), with nothing else running, for the allocsPerStep column.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms) // repocheck:allow stoptheworld -- a bench process times one evaluation alone, and only ReadMemStats counts its allocations exactly (runtime/metrics lags by a P's cached span)
+	return ms.Mallocs
+}
+
 // hermiteBlockPlan names the Hermite sweep point. It is deliberately not a
 // core plan name, so Compare, which matches points on (plan, N), never
 // diffs it against a force-only point.
@@ -366,7 +373,6 @@ func hermitePoint(ctx context.Context, cfg BenchConfig, repeats int) (BenchPoint
 	var wall, kernel, transfer, host, total, gflops, active []float64
 	var hostBuild, allocs []float64
 	var last *core.RunProfile
-	var ms runtime.MemStats
 	for r := 0; r < repeats; r++ {
 		plan, err := newPlan("i-parallel", cfg.Device, cfg.Theta, cfg.Eps)
 		if err != nil {
@@ -383,14 +389,13 @@ func hermitePoint(ctx context.Context, cfg BenchConfig, repeats int) (BenchPoint
 			return inter
 		})
 		sys := ic.Plummer(n, cfg.Seed)
-		runtime.ReadMemStats(&ms)
-		mallocsBefore := ms.Mallocs
+		mallocsBefore := mallocs()
 		begin := time.Now()
 		for st := 0; st < outerSteps; st++ {
 			integ.Step(sys, outerDT, nil)
 		}
 		wallSec := time.Since(begin).Seconds()
-		runtime.ReadMemStats(&ms)
+		mallocsAfter := mallocs()
 		if forceErr != nil {
 			return BenchPoint{}, fmt.Errorf("perf: %s at N=%d: %w", hermiteBlockPlan, n, forceErr)
 		}
@@ -401,7 +406,7 @@ func hermitePoint(ctx context.Context, cfg BenchConfig, repeats int) (BenchPoint
 		total = append(total, eng.TotalSeconds()*1e3/outerSteps)
 		gflops = append(gflops, eng.SustainedGFLOPS())
 		hostBuild = append(hostBuild, eng.HostBuildSeconds*1e3/outerSteps)
-		allocs = append(allocs, float64(ms.Mallocs-mallocsBefore)/outerSteps)
+		allocs = append(allocs, float64(mallocsAfter-mallocsBefore)/outerSteps)
 		active = append(active, integ.MeanActiveFraction())
 		last = eng.LastProfile
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime/metrics"
 	"testing"
 	"time"
 
@@ -495,5 +496,50 @@ func TestWatchdogViolationFailsWithoutRetry(t *testing.T) {
 	}
 	if h := pool.Healthy(); h != 2 {
 		t.Fatalf("healthy %d, want 2 — a physics violation must not quarantine the engine", h)
+	}
+}
+
+// stopsOutsideGC returns how many times this process has stopped the world
+// for something other than garbage collection: runtime.ReadMemStats,
+// runtime.GOMAXPROCS, a goroutine profile and the like. No test of this
+// package runs in parallel, so while a test runs no other test of the
+// process can add to it.
+func stopsOutsideGC() uint64 {
+	s := []metrics.Sample{{Name: "/sched/pauses/total/other:seconds"}}
+	metrics.Read(s)
+	var n uint64
+	for _, c := range s[0].Value.Float64Histogram().Counts {
+		n += c
+	}
+	return n
+}
+
+// TestHTTPJobStopsNoWorld is sim's TestRunContextStopsNoWorld through the
+// service: a jw-parallel job posted over HTTP, streamed to its final record
+// and its perf attribution fetched adds no sample to the runtime's
+// histogram of pauses outside garbage collection. A stop anywhere on a
+// job's path (obs, the perf attribution, streaming) fails it.
+func TestHTTPJobStopsNoWorld(t *testing.T) {
+	srv, _ := testHTTP(t, 2, 8)
+	spec := quickJob(256, 4)
+	spec.Plan = "jw-parallel"
+	spec.SnapshotEvery = 1
+	before := stopsOutsideGC()
+	resp, st := postJob(t, srv.URL, spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	recs := streamRecords(t, srv.URL, st.ID)
+	var perf JobPerf
+	getJSON(t, srv.URL+"/v1/jobs/"+st.ID+"/perf", &perf)
+	stops := stopsOutsideGC() - before
+	if final := recs[len(recs)-1]; !final.Final || final.State != StateDone || len(recs) != 6 {
+		t.Fatalf("%d records, final %+v; want 5 snapshots and a done final record", len(recs), final)
+	}
+	if perf.SchemaVersion != JobPerfSchemaVersion || perf.JobID != st.ID {
+		t.Fatalf("perf attribution %+v, want job %s's", perf, st.ID)
+	}
+	if stops != 0 {
+		t.Fatalf("one job stopped the world %d times outside garbage collection, want 0", stops)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"repro/internal/bh"
@@ -105,10 +104,6 @@ type Snapshot struct {
 	// wall-clock time (tree + walks + flatten on this machine). Zero when the
 	// engine does not measure it.
 	HostBuildSeconds float64
-	// AllocsPerStep is the mean heap allocations per integrator step since
-	// the previous snapshot — the steady-state figure the pooled host
-	// pipeline drives towards zero. Zero at step 0.
-	AllocsPerStep float64
 }
 
 // TimedEngine is optionally implemented by engines that account their own
@@ -288,20 +283,7 @@ func RunContext(ctx context.Context, s *body.System, eng Engine, integ integrate
 	var wallSeconds float64
 	var e0 float64
 	var p0 vec.D3
-	// Allocation accounting: snapshots report the mean mallocs per step of
-	// the preceding inter-snapshot interval. Read before the snapshot's own
-	// O(N^2) diagnostics so those don't pollute the per-step figure.
-	var memStats runtime.MemStats
-	runtime.ReadMemStats(&memStats)
-	lastMallocs := memStats.Mallocs
-	lastSnapStep := 0
 	record := func(step int) error {
-		runtime.ReadMemStats(&memStats)
-		var allocsPerStep float64
-		if steps := step - lastSnapStep; steps > 0 {
-			allocsPerStep = float64(memStats.Mallocs-lastMallocs) / float64(steps)
-		}
-		lastSnapStep = step
 		k := s.KineticEnergy()
 		p := s.PotentialEnergy(cfg.G, cfg.Eps)
 		sn := Snapshot{
@@ -315,7 +297,6 @@ func RunContext(ctx context.Context, s *body.System, eng Engine, integ integrate
 			Interactions: cumInteractions,
 			WallSeconds:  wallSeconds,
 		}
-		sn.AllocsPerStep = allocsPerStep
 		if timed != nil {
 			sn.EngineSeconds = timed.TotalSeconds()
 		}
@@ -344,7 +325,6 @@ func RunContext(ctx context.Context, s *body.System, eng Engine, integ integrate
 		cfg.Obs.Gauge("sim.momentum_norm").Set(sn.Momentum.Sub(p0).Norm())
 		cfg.Obs.Gauge("sim.virial_ratio").Set(sn.VirialRatio)
 		cfg.Obs.Gauge("sim.host_build.seconds").Set(sn.HostBuildSeconds)
-		cfg.Obs.Gauge("sim.allocs_per_step").Set(sn.AllocsPerStep)
 		snaps = append(snaps, sn)
 		if cfg.Log != nil {
 			fmt.Fprintf(cfg.Log, "step %6d  t=%8.4f  E=%+.6f  K=%.6f  U=%+.6f  interactions=%d  wall=%.3fs  engine=%.4fs\n",
@@ -358,10 +338,6 @@ func RunContext(ctx context.Context, s *body.System, eng Engine, integ integrate
 				return fmt.Errorf("sim: snapshot sink at step %d: %w", step, err)
 			}
 		}
-		// Re-read after the snapshot's own diagnostics so their allocations
-		// don't count against the next interval's per-step figure.
-		runtime.ReadMemStats(&memStats)
-		lastMallocs = memStats.Mallocs
 		return nil
 	}
 

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
@@ -343,5 +345,46 @@ func TestRunPipelineWindow(t *testing.T) {
 	}
 	if sLast.EngineSeconds != last.EngineSeconds {
 		t.Errorf("serial basis changed across modes: %g vs %g", sLast.EngineSeconds, last.EngineSeconds)
+	}
+}
+
+// stopsOutsideGC returns how many times this process has stopped the world
+// for something other than garbage collection: runtime.ReadMemStats,
+// runtime.GOMAXPROCS, a goroutine profile, testing.AllocsPerRun and the
+// like. No test of this package runs in parallel, so while a test runs no
+// other test of the process can add to it.
+func stopsOutsideGC() uint64 {
+	s := []metrics.Sample{{Name: "/sched/pauses/total/other:seconds"}}
+	metrics.Read(s)
+	var n uint64
+	for _, c := range s[0].Value.Float64Histogram().Counts {
+		n += c
+	}
+	return n
+}
+
+// TestRunContextStopsNoWorld requires a run to stop the world only for
+// garbage collection: a 4-step jw-parallel run with a snapshot every step
+// adds no sample to the runtime's histogram of other pauses. In nbodyd
+// every stop freezes the other engine slots and every HTTP goroutine.
+func TestRunContextStopsNoWorld(t *testing.T) {
+	eng, err := core.NewEngineByName("jw-parallel", core.WithDevice(gpusim.TestDevice()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ic.Plummer(256, 3)
+	before := stopsOutsideGC()
+	snaps, err := RunContext(context.Background(), s, eng, nil, Config{
+		DT: 0.01, Steps: 4, SnapshotEvery: 1, G: 1, Eps: 0.05, Obs: obs.New(),
+	})
+	stops := stopsOutsideGC() - before
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 5 {
+		t.Fatalf("got %d snapshots, want 5", len(snaps))
+	}
+	if stops != 0 {
+		t.Fatalf("a 4-step run with 5 snapshots stopped the world %d times outside garbage collection, want 0", stops)
 	}
 }
