@@ -4,15 +4,15 @@
 // variance, and per-point perf reports: critical-path attribution plus
 // roofline/occupancy analysis per kernel).
 //
-// With -baseline it compares the fresh sweep against a committed baseline
-// using per-metric regression thresholds and exits non-zero when any metric
-// worsened past its allowance:
+// With -baseline it diffs the sweep's modelled leaves against a committed
+// BENCH document bit for bit (perf.Compare) and prints one line per leaf
+// that differs, naming the document, the point and the leaf:
 //
 //	bench -quick -out BENCH_smoke.json            # CI smoke sweep
-//	bench -baseline BENCH_BASELINE.json           # regression gate
+//	bench -baseline BENCH_BASELINE.json           # re-derive the baseline
 //	bench -out BENCH_BASELINE.json                # refresh the baseline
 //
-// Exit codes: 0 ok, 1 regression detected, 2 usage / runtime error.
+// Exit codes: 0 ok, 1 a gate failed, 2 usage / runtime error.
 package main
 
 import (
@@ -42,8 +42,7 @@ func main() {
 		noHermite  = flag.Bool("no-hermite", false, "skip the hermite-block sweep point")
 		clockScale = flag.Float64("clock-scale", 1.0, "multiply the device engine clock (for sensitivity checks)")
 		out        = flag.String("out", "", "output JSON path (default BENCH_<date>.json; '-' for stdout)")
-		baseline   = flag.String("baseline", "", "compare against this baseline JSON; exit 1 on regression")
-		maxRegress = flag.Float64("max-regress", 0.05, "allowed relative worsening per metric vs the baseline (0 = exact)")
+		baseline   = flag.String("baseline", "", "diff the modelled leaves against this BENCH JSON; exit 1 if any differs")
 		trace      = flag.String("trace", "", "write the merged host+device Chrome trace of the final point here")
 		hostReport = flag.Bool("host-report", false, "print the measured host-build breakdown (wall ms + allocs/step) per point")
 	)
@@ -52,10 +51,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bench: unexpected arguments %q\n", flag.Args())
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if *maxRegress < 0 {
-		fatalf("negative -max-regress %g (0 is an exact gate)", *maxRegress)
 	}
 
 	if err := core.PreflightKernelCheck(kcheck.Mode(), nil, os.Stderr); err != nil {
@@ -156,25 +151,21 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	th := perf.Thresholds{
-		KernelMS: *maxRegress, TotalMS: *maxRegress,
-		GFLOPS: *maxRegress, Occupancy: *maxRegress,
-	}
-	regs, warns, err := perf.Compare(base, rep, th)
+	diffs, warns, err := perf.Compare(base, rep)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	for _, w := range warns {
 		fmt.Fprintf(os.Stderr, "bench: warning: %s\n", w)
 	}
-	if len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "bench: %d regression(s) vs %s:\n", len(regs), *baseline)
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "  %s\n", r)
-		}
+	for _, d := range diffs {
+		fmt.Fprintf(os.Stderr, "%s %s\n", *baseline, d)
+	}
+	if len(diffs) > 0 {
+		fmt.Fprintf(os.Stderr, "bench: modelled leaves that differ from %s: %d\n", *baseline, len(diffs))
 		os.Exit(1)
 	}
-	fmt.Fprintf(info, "no regressions vs %s (threshold %.0f%%)\n", *baseline, *maxRegress*100)
+	fmt.Fprintf(info, "no modelled leaf differs from %s\n", *baseline)
 }
 
 func fatalf(format string, args ...any) {

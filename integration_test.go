@@ -142,7 +142,10 @@ func TestExperimentHarnessSmoke(t *testing.T) {
 
 // TestCommittedBenchDocumentsAreCurrent reads every BENCH document in the
 // repository root with the reader the baseline gate uses, so a committed file
-// in an older layout fails go test, not a later bench -baseline run.
+// in an older layout fails go test, not a later bench -baseline run. The
+// committed baseline and the paper sweep must also agree, leaf for leaf, on
+// every point they share: both are serial sweeps of the same plans, so a
+// modelled number regenerated in one and not the other fails here.
 func TestCommittedBenchDocumentsAreCurrent(t *testing.T) {
 	paths, err := filepath.Glob("BENCH_*.json")
 	if err != nil {
@@ -153,6 +156,31 @@ func TestCommittedBenchDocumentsAreCurrent(t *testing.T) {
 			t.Error(err)
 		}
 	}
+	baseline, err := perf.ReadBenchReport("BENCH_BASELINE.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := perf.ReadBenchReport("sweep_data.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	common := 0
+	for _, pt := range sweep.Points {
+		if baseline.Point(pt.Plan, pt.N) != nil {
+			common++
+		}
+	}
+	if common == 0 {
+		t.Fatal("BENCH_BASELINE.json and sweep_data.json share no (plan, N) point")
+	}
+	diffs, _, err := perf.Compare(baseline, sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diffs {
+		t.Errorf("BENCH_BASELINE.json vs sweep_data.json: %s", d)
+	}
+	t.Logf("%d common points, %d differing modelled leaves", common, len(diffs))
 }
 
 // TestPlansMatchReferencesOnEveryScenario checks every Go plan against its

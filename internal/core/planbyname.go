@@ -41,8 +41,9 @@ func WithDevice(cfg gpusim.DeviceConfig) PlanOption {
 	return func(o *planOptions) { o.device = cfg }
 }
 
-// WithCLContext reuses an existing context instead of creating one — how the
-// serve pool pins every plan of one engine slot to the same modelled device.
+// WithCLContext reuses an existing context instead of creating one, so the
+// caller holds the context its plans run on and plans given the same context
+// share one modelled device.
 func WithCLContext(ctx *cl.Context) PlanOption {
 	return func(o *planOptions) { o.clCtx = ctx }
 }

@@ -1,118 +1,129 @@
 package perf
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 )
 
-// Thresholds are the allowed relative worsenings per metric when comparing a
-// bench report against a baseline. All modelled metrics are deterministic,
-// so the margins exist to absorb intentional small calibration tweaks, not
-// measurement noise; anything past them is a regression. A zero threshold
-// is an exact gate: any worsening at all is a regression.
-type Thresholds struct {
-	// KernelMS / TotalMS: allowed fractional increase of the mean modelled
-	// kernel / total time (0.05 = 5% slower fails).
-	KernelMS float64 `json:"kernelMs"`
-	TotalMS  float64 `json:"totalMs"`
-	// GFLOPS: allowed fractional decrease of the mean kernel GFLOPS.
-	GFLOPS float64 `json:"gflops"`
-	// Occupancy: allowed fractional decrease of the first kernel's resident
-	// wavefronts.
-	Occupancy float64 `json:"occupancy"`
-}
+// measuredLeaves are the point leaves a sweep measures on the machine that
+// ran it rather than models, as JSON paths within a point; each covers the
+// leaves under it. Compare skips them, and every repeat count, samples.
+var measuredLeaves = []string{"wallMs", "hostBuildMs", "allocsPerStep",
+	"report.hostBuildSeconds", "report.attribution.hostBuildWallSeconds"}
 
-// Regression is one metric of one point that worsened past its threshold.
-type Regression struct {
-	Plan     string  `json:"plan"`
-	N        int     `json:"n"`
-	Metric   string  `json:"metric"`
-	Baseline float64 `json:"baseline"`
-	Current  float64 `json:"current"`
-	// Change is the relative worsening (positive; direction-normalised, so
-	// +0.12 means 12% slower / lower-throughput than baseline).
-	Change  float64 `json:"change"`
-	Allowed float64 `json:"allowed"`
-}
+// pipelinedLeaves depend on the sweep's pipeline mode. Compare skips them
+// when the two reports ran in different modes.
+var pipelinedLeaves = []string{"pipelinedMs", "speedupVsSerial"}
 
-// String renders the regression for CLI output.
-func (r Regression) String() string {
-	return fmt.Sprintf("%-12s N=%-7d %-10s %12.4g -> %-12.4g (%+.1f%%, allowed %.1f%%)",
-		r.Plan, r.N, r.Metric, r.Baseline, r.Current, r.Change*100, r.Allowed*100)
-}
-
-// relWorse returns the relative worsening of cur against base, where
-// higherIsWorse says which direction is bad. Zero baselines compare equal.
-func relWorse(base, cur float64, higherIsWorse bool) float64 {
-	if base == 0 {
-		return 0
-	}
-	change := (cur - base) / base
-	if !higherIsWorse {
-		change = -change
-	}
-	if base < 0 {
-		change = -change
-	}
-	return change
-}
-
-// Compare diffs cur against base point-by-point, matching on plan and N,
-// and returns every metric that worsened past its threshold. Each current
-// point with no baseline counterpart is named in a warning and not
-// compared. It errors when the schema versions differ — such files must not
-// be silently diffed. A device-model mismatch is reported via the warnings
-// list, not an error: a deliberately changed device model should surface as
-// metric regressions, with the warning explaining why.
-func Compare(base, cur *BenchReport, th Thresholds) (regs []Regression, warnings []string, err error) {
+// Compare diffs the modelled leaves of cur against base exactly: the
+// sweep's settings (device_model, theta, eps, seed) and each point of cur
+// against the base point with the same plan and N. Every leaf but the
+// measured ones and the repeat counts must keep its bits; each diff names
+// the point (none for a setting), the leaf's JSON path and both values.
+// Reports of different pipeline modes skip the pipelined leaves too, with a
+// warning. Each current point with no baseline counterpart is named in a
+// warning and not compared. It errors when the schema versions differ.
+func Compare(base, cur *BenchReport) (diffs, warnings []string, err error) {
 	if base.SchemaVersion != cur.SchemaVersion {
 		return nil, nil, fmt.Errorf("perf: schema version mismatch: baseline v%d vs current v%d",
 			base.SchemaVersion, cur.SchemaVersion)
 	}
-	if base.DeviceModel != cur.DeviceModel {
-		warnings = append(warnings, fmt.Sprintf(
-			"device model differs from baseline (%q vs %q): time deltas reflect the model change",
-			cur.DeviceModel.Name, base.DeviceModel.Name))
-	}
+	skip := measuredLeaves
 	if base.Pipeline != cur.Pipeline {
 		warnings = append(warnings, fmt.Sprintf(
-			"pipeline mode differs from baseline (%q vs %q): pipelined-time deltas reflect the mode change",
-			cur.Pipeline, base.Pipeline))
+			"pipeline mode differs from baseline (%q vs %q): %s not compared",
+			cur.Pipeline, base.Pipeline, strings.Join(pipelinedLeaves, " and ")))
+		skip = append(skip[:len(skip):len(skip)], pipelinedLeaves...)
 	}
-	matched := 0
+	settings := func(r *BenchReport) any {
+		return map[string]any{"device_model": r.DeviceModel, "theta": r.Theta, "eps": r.Eps, "seed": r.Seed}
+	}
+	b, c := map[string]any{"": settings(base)}, map[string]any{"": settings(cur)}
 	for i := range cur.Points {
 		cp := &cur.Points[i]
-		bp := base.Point(cp.Plan, cp.N)
-		if bp == nil {
+		if bp := base.Point(cp.Plan, cp.N); bp != nil {
+			point := fmt.Sprintf("%s N=%d ", cp.Plan, cp.N)
+			b[point], c[point] = bp, cp
+		} else {
 			warnings = append(warnings, fmt.Sprintf(
 				"%s N=%d has no baseline point: not compared", cp.Plan, cp.N))
-			continue
-		}
-		matched++
-		check := func(metric string, b, c, allowed float64, higherIsWorse bool) {
-			if change := relWorse(b, c, higherIsWorse); change > allowed {
-				regs = append(regs, Regression{
-					Plan: cp.Plan, N: cp.N, Metric: metric,
-					Baseline: b, Current: c, Change: change, Allowed: allowed,
-				})
-			}
-		}
-		check("kernel_ms", bp.KernelMS.Mean, cp.KernelMS.Mean, th.KernelMS, true)
-		check("total_ms", bp.TotalMS.Mean, cp.TotalMS.Mean, th.TotalMS, true)
-		check("gflops", bp.KernelGFLOPS.Mean, cp.KernelGFLOPS.Mean, th.GFLOPS, false)
-		if len(bp.Report.Kernels) > 0 && len(cp.Report.Kernels) > 0 {
-			check("occupancy",
-				float64(bp.Report.Kernels[0].OccupancyWavefronts),
-				float64(cp.Report.Kernels[0].OccupancyWavefronts),
-				th.Occupancy, false)
 		}
 	}
-	if matched == 0 {
+	if len(c) == 1 { // the settings alone
 		warnings = append(warnings, "no (plan, N) points in common with the baseline — nothing compared")
 	}
-	return regs, warnings, nil
+	diffs, err = diffLeaves(b, c, skip)
+	return diffs, warnings, err
+}
+
+// diffLeaves JSON-encodes the value under each point key of base and cur
+// and returns "point path base -> cur" for each leaf whose text differs,
+// sorted. Go encodes a float as the shortest text that reads back as the
+// same bits, so equal text is equal bits.
+func diffLeaves(base, cur map[string]any, skip []string) ([]string, error) {
+	var sides [2]map[string]string
+	for i, values := range []map[string]any{base, cur} {
+		sides[i] = map[string]string{}
+		for point, v := range values {
+			data, err := json.Marshal(v)
+			if err != nil {
+				return nil, fmt.Errorf("perf: compare: %w", err)
+			}
+			dec := json.NewDecoder(bytes.NewReader(data))
+			dec.UseNumber()
+			var doc any
+			_ = dec.Decode(&doc) // json.Marshal's own output always decodes
+			flatten(point, "", doc, skip, sides[i])
+		}
+	}
+	b, c := sides[0], sides[1]
+	var keys []string
+	for k := range c {
+		if b[k] != c[k] {
+			keys = append(keys, k)
+		}
+	}
+	for k := range b {
+		if _, ok := c[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	diffs := make([]string, len(keys))
+	for i, k := range keys {
+		diffs[i] = fmt.Sprintf("%s %s -> %s", k, cmp.Or(b[k], "(absent)"), cmp.Or(c[k], "(absent)"))
+	}
+	return diffs, nil
+}
+
+// flatten adds the JSON text of each scalar in a decoded JSON value to out
+// under point + its path, except under a skip path or a repeat count.
+func flatten(point, path string, v any, skip []string, out map[string]string) {
+	if slices.Contains(skip, path) || strings.HasSuffix(path, ".samples") {
+		return
+	}
+	switch v := v.(type) {
+	case map[string]any:
+		for k, x := range v {
+			if path != "" {
+				k = path + "." + k
+			}
+			flatten(point, k, x, skip, out)
+		}
+	case []any:
+		for i, x := range v {
+			flatten(point, fmt.Sprintf("%s[%d]", path, i), x, skip, out)
+		}
+	default: // a string, json.Number, bool or nil, which always re-encodes
+		text, _ := json.Marshal(v)
+		out[point+path] = string(text)
+	}
 }
 
 // WriteJSON writes the report as indented JSON.
@@ -178,19 +189,7 @@ func VerifyOverlapBeatsSerial(r *BenchReport) error {
 	}
 	if len(bad) > 0 {
 		return fmt.Errorf("perf: overlap slower than serial on %d point(s):\n  %s",
-			len(bad), joinLines(bad))
+			len(bad), strings.Join(bad, "\n  "))
 	}
 	return nil
-}
-
-// joinLines joins with newline+indent for multi-line error rendering.
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
-	}
-	return out
 }

@@ -159,12 +159,12 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 
 func TestCompareNoRegressionAgainstSelf(t *testing.T) {
 	rep := getBench(t)
-	regs, warns, err := Compare(rep, rep, fivePercent)
+	diffs, warns, err := Compare(rep, rep)
 	if err != nil {
 		t.Fatalf("Compare: %v", err)
 	}
-	if len(regs) != 0 {
-		t.Fatalf("self-comparison regressed: %v", regs)
+	if len(diffs) != 0 {
+		t.Fatalf("self-comparison differs: %v", diffs)
 	}
 	if len(warns) != 0 {
 		t.Fatalf("self-comparison warned: %v", warns)
@@ -172,7 +172,8 @@ func TestCompareNoRegressionAgainstSelf(t *testing.T) {
 }
 
 // TestCompareDetectsSlowedDevice is the acceptance check: a deliberately
-// slowed device model must fail the baseline comparison.
+// slowed device model must fail the baseline comparison, at the clock
+// setting and at every point's modelled kernel time.
 func TestCompareDetectsSlowedDevice(t *testing.T) {
 	base := getBench(t)
 	slow := benchConfig()
@@ -181,27 +182,22 @@ func TestCompareDetectsSlowedDevice(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunBench(slow): %v", err)
 	}
-	regs, warns, err := Compare(base, cur, fivePercent)
+	diffs, _, err := Compare(base, cur)
 	if err != nil {
 		t.Fatalf("Compare: %v", err)
 	}
-	if len(regs) == 0 {
-		t.Fatal("halved device clock produced no regressions")
-	}
-	foundKernel := false
-	for _, r := range regs {
-		if r.Metric == "kernel_ms" && r.Change > 0.5 {
-			foundKernel = true
-		}
-		if s := r.String(); !strings.Contains(s, r.Plan) {
-			t.Errorf("Regression.String() = %q", s)
+	sawClock, kernelMoved := false, 0
+	for _, d := range diffs {
+		sawClock = sawClock || strings.HasPrefix(d, "device_model.ClockHz ")
+		if strings.Contains(d, " kernelMs.mean ") {
+			kernelMoved++
 		}
 	}
-	if !foundKernel {
-		t.Errorf("no kernel_ms regression >50%% in %v", regs)
+	if !sawClock {
+		t.Errorf("halved device clock is not a settings diff: %q", diffs)
 	}
-	if len(warns) == 0 {
-		t.Error("device-model change produced no warning")
+	if kernelMoved != len(cur.Points) {
+		t.Errorf("kernel time moved on %d of %d points", kernelMoved, len(cur.Points))
 	}
 }
 
@@ -209,7 +205,7 @@ func TestCompareSchemaMismatch(t *testing.T) {
 	rep := getBench(t)
 	other := *rep
 	other.SchemaVersion = rep.SchemaVersion + 1
-	if _, _, err := Compare(rep, &other, fivePercent); err == nil {
+	if _, _, err := Compare(rep, &other); err == nil {
 		t.Fatal("schema mismatch accepted")
 	}
 }
@@ -218,7 +214,7 @@ func TestCompareDisjointPointsWarns(t *testing.T) {
 	rep := getBench(t)
 	other := *rep
 	other.Points = []BenchPoint{{Plan: "i-parallel", N: 999999}}
-	_, warns, err := Compare(rep, &other, fivePercent)
+	_, warns, err := Compare(rep, &other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,51 +223,80 @@ func TestCompareDisjointPointsWarns(t *testing.T) {
 	}
 }
 
-// TestCompareGates pins Compare's threshold semantics on hand-built
-// reports: a zero threshold is an exact gate, an improvement passes any
-// gate, and a current point without a baseline counterpart is named in a
+// cloneReport deep-copies a report through its JSON encoding.
+func cloneReport(t *testing.T, r *BenchReport) *BenchReport {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var c BenchReport
+	if err := json.Unmarshal(buf.Bytes(), &c); err != nil {
+		t.Fatal(err)
+	}
+	return &c
+}
+
+// TestCompareGates pins Compare's exact diff with one-ulp edits of a real
+// sweep: an edit to a modelled leaf, either way, is exactly one diff that
+// names the point and the leaf; an edit to a measured leaf or a repeat count
+// is none; and a current point without a baseline counterpart is named in a
 // warning instead of passing unexamined.
 func TestCompareGates(t *testing.T) {
-	point := func(plan string, n int, kernelMS float64) BenchPoint {
-		return BenchPoint{Plan: plan, N: n,
-			KernelMS: Stat{Mean: kernelMS}, TotalMS: Stat{Mean: 2 * kernelMS},
-			KernelGFLOPS: Stat{Mean: 1 / kernelMS}}
-	}
-	base := &BenchReport{SchemaVersion: BenchSchemaVersion, Points: []BenchPoint{
-		point("i-parallel", 1024, 2), point(hermiteBlockPlan, 1024, 3)}}
-	exact := Thresholds{}
+	base := getBench(t)
+	up := func(x *float64) { *x = math.Nextafter(*x, math.Inf(1)) }
+	down := func(x *float64) { *x = math.Nextafter(*x, math.Inf(-1)) }
 	for _, tc := range []struct {
 		name    string
-		th      Thresholds
-		cur     []BenchPoint
-		metrics []string // regressed metrics, in order
-		warning string   // substring of the only warning, "" for none
+		edit    func(r *BenchReport)
+		diff    string // the only diff's point and leaf, "" for none
+		warning string // substring of the only warning, "" for none
 	}{
-		{"exact gate passes an equal point", exact,
-			[]BenchPoint{point("i-parallel", 1024, 2)}, nil, ""},
-		{"exact gate fails the smallest worsening", exact,
-			[]BenchPoint{point("i-parallel", 1024, 2*(1+1e-12))}, []string{"kernel_ms", "total_ms", "gflops"}, ""},
-		{"exact gate fails a doubled hermite-block kernel", exact,
-			[]BenchPoint{point(hermiteBlockPlan, 1024, 6)}, []string{"kernel_ms", "total_ms", "gflops"}, ""},
-		{"an improvement passes the exact gate", exact,
-			[]BenchPoint{point("i-parallel", 1024, 1)}, nil, ""},
-		{"a worsening inside the threshold passes", fivePercent,
-			[]BenchPoint{point("i-parallel", 1024, 2.08)}, nil, ""},
-		{"an unmatched point is named", exact,
-			[]BenchPoint{point("i-parallel", 1024, 2), point(hermiteBlockPlan, 512, 3)}, nil,
-			"hermite-block N=512 has no baseline point"},
+		{"a kernel time one ulp slower",
+			func(r *BenchReport) { up(&r.Point("jw-parallel", 1024).KernelMS.Mean) },
+			"jw-parallel N=1024 kernelMs.mean", ""},
+		{"a kernel time one ulp faster",
+			func(r *BenchReport) { down(&r.Point("jw-parallel", 1024).KernelMS.Mean) },
+			"jw-parallel N=1024 kernelMs.mean", ""},
+		{"a kernel report field",
+			func(r *BenchReport) { up(&r.Point("i-parallel", 256).Report.Kernels[0].DeviceFill) },
+			"i-parallel N=256 report.kernels[0].deviceFill", ""},
+		{"the hermite-block point",
+			func(r *BenchReport) { up(&r.Point(hermiteBlockPlan, 256).TotalMS.Max) },
+			"hermite-block N=256 totalMs.max", ""},
+		{"a sweep setting",
+			func(r *BenchReport) { r.Theta = math.Nextafter32(r.Theta, 1) },
+			"theta", ""},
+		{"the wall time",
+			func(r *BenchReport) { up(&r.Point("jw-parallel", 1024).WallMS.Mean) },
+			"", ""},
+		{"the measured host build and allocations",
+			func(r *BenchReport) {
+				p := r.Point("jw-parallel", 1024)
+				up(&p.HostBuildMS.Mean)
+				up(&p.AllocsPerStep.Max)
+				up(&p.Report.HostBuildSeconds)
+				up(&p.Report.Attribution.HostBuildWallSeconds)
+			},
+			"", ""},
+		{"a repeat count",
+			func(r *BenchReport) { r.Point("jw-parallel", 1024).KernelMS.Samples++ },
+			"", ""},
+		{"an unmatched point",
+			func(r *BenchReport) { r.Points = append(r.Points, BenchPoint{Plan: hermiteBlockPlan, N: 512}) },
+			"", "hermite-block N=512 has no baseline point"},
 	} {
-		cur := &BenchReport{SchemaVersion: BenchSchemaVersion, Points: tc.cur}
-		regs, warns, err := Compare(base, cur, tc.th)
+		cur := cloneReport(t, base)
+		tc.edit(cur)
+		diffs, warns, err := Compare(base, cur)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		var metrics []string
-		for _, r := range regs {
-			metrics = append(metrics, r.Metric)
-		}
-		if fmt.Sprint(metrics) != fmt.Sprint(tc.metrics) {
-			t.Errorf("%s: regressions %v, want %v", tc.name, metrics, tc.metrics)
+		switch {
+		case tc.diff == "" && len(diffs) != 0:
+			t.Errorf("%s: diffs %v, want none", tc.name, diffs)
+		case tc.diff != "" && (len(diffs) != 1 || !strings.HasPrefix(diffs[0], tc.diff+" ")):
+			t.Errorf("%s: diffs %v, want one naming %q", tc.name, diffs, tc.diff)
 		}
 		if tc.warning == "" && len(warns) != 0 || tc.warning != "" && (len(warns) != 1 || !strings.Contains(warns[0], tc.warning)) {
 			t.Errorf("%s: warnings %q, want one containing %q", tc.name, warns, tc.warning)
@@ -314,20 +339,21 @@ func TestRunBenchTraceOut(t *testing.T) {
 }
 
 // TestBenchSerialPipelinedEqualsTotal pins the serial-mode invariant: with
-// evaluations laid end to end, the executed per-evaluation cost is exactly
-// the serial total, and the speedup column reads 1.
+// evaluations laid end to end, the executed per-evaluation cost is the
+// serial total bit for bit, in every repeat, and the speedup column reads
+// exactly 1.
 func TestBenchSerialPipelinedEqualsTotal(t *testing.T) {
 	rep := getBench(t)
 	if rep.Pipeline != "serial" {
 		t.Fatalf("default sweep pipeline = %q, want serial", rep.Pipeline)
 	}
 	for _, pt := range rep.Points {
-		if !near(pt.PipelinedMS.Mean, pt.TotalMS.Mean) {
-			t.Errorf("%s N=%d: serial pipelined %.6g != total %.6g",
-				pt.Plan, pt.N, pt.PipelinedMS.Mean, pt.TotalMS.Mean)
+		if pt.PipelinedMS != pt.TotalMS {
+			t.Errorf("%s N=%d: serial pipelined %+v != total %+v",
+				pt.Plan, pt.N, pt.PipelinedMS, pt.TotalMS)
 		}
-		if !near(pt.SpeedupVsSerial, 1) {
-			t.Errorf("%s N=%d: serial speedup = %g, want 1", pt.Plan, pt.N, pt.SpeedupVsSerial)
+		if pt.SpeedupVsSerial != 1 {
+			t.Errorf("%s N=%d: serial speedup = %.17g, want 1", pt.Plan, pt.N, pt.SpeedupVsSerial)
 		}
 	}
 	if err := VerifyOverlapBeatsSerial(rep); err != nil {
@@ -370,17 +396,31 @@ func TestBenchOverlapSpeedsUpBHPlans(t *testing.T) {
 				name, pt.SpeedupVsSerial, want)
 		}
 	}
-	// The serial columns are mode-independent: overlap changes only the
-	// executed placement, never the amount of modelled work.
+	// Overlap changes only the executed placement, never the amount of
+	// modelled work: against the serial sweep only the pipelined leaves
+	// move, and Compare skips exactly those, with a warning.
 	base := getBench(t)
-	for _, pt := range rep.Points {
-		bp := base.Point(pt.Plan, pt.N)
-		if bp == nil {
-			t.Fatalf("missing baseline point %s N=%d", pt.Plan, pt.N)
-		}
-		if !near(pt.TotalMS.Mean, bp.TotalMS.Mean) || !near(pt.KernelMS.Mean, bp.KernelMS.Mean) {
-			t.Errorf("%s N=%d: serial columns changed under overlap: total %.6g vs %.6g",
-				pt.Plan, pt.N, pt.TotalMS.Mean, bp.TotalMS.Mean)
+	diffs, warns, err := Compare(base, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diffs) != 0 {
+		t.Errorf("overlap sweep differs from the serial one: %v", diffs)
+	}
+	if len(warns) != 1 || !strings.Contains(warns[0], "pipeline mode differs") {
+		t.Errorf("warnings %q, want one on the pipeline mode", warns)
+	}
+	sameMode := *rep
+	sameMode.Pipeline = base.Pipeline
+	if diffs, _, err = Compare(base, &sameMode); err != nil {
+		t.Fatal(err)
+	}
+	if len(diffs) == 0 {
+		t.Error("no pipelined leaf moved under overlap")
+	}
+	for _, d := range diffs {
+		if leaf := strings.Fields(d)[2]; !strings.HasPrefix(leaf, "pipelinedMs.") && leaf != "speedupVsSerial" {
+			t.Errorf("%s moved under overlap", d)
 		}
 	}
 }
@@ -486,6 +526,3 @@ func TestNewPlanCoversAll(t *testing.T) {
 		}
 	}
 }
-
-// fivePercent allows 5% on every compared metric.
-var fivePercent = Thresholds{KernelMS: 0.05, TotalMS: 0.05, GFLOPS: 0.05, Occupancy: 0.05}

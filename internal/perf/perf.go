@@ -20,8 +20,8 @@
 //   - Watchdog tracks energy/momentum/virial drift per snapshot and fails a
 //     run that leaves its physics tolerances (watchdog.go).
 //   - RunBench sweeps plans x N into a machine-readable report with repeat
-//     statistics (bench.go); Compare checks it against a committed baseline
-//     with per-metric regression thresholds (baseline.go).
+//     statistics (bench.go); Compare diffs its modelled leaves against a
+//     committed baseline exactly (baseline.go).
 package perf
 
 // Stage identifies one pipeline stage of a force evaluation for critical-path

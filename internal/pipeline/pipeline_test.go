@@ -28,6 +28,24 @@ func TestRunnerSerialVsOverlap(t *testing.T) {
 	}
 }
 
+// TestRunnerSerialAccountIsStepCost: a serial step costs exactly its host
+// plus device seconds however far the timeline has run, while the timeline
+// itself still advances by end-to-end sums.
+func TestRunnerSerialAccountIsStepCost(t *testing.T) {
+	host, dev := 2.7e-3, 10.3e-3 // variables: a constant host+dev is exact
+	r := &Runner{Mode: Serial}
+	end := 0.0
+	for i := 0; i < 5; i++ {
+		if got := r.Account(host, dev); got != host+dev {
+			t.Errorf("step %d: Account = %.17g, want %.17g", i, got, host+dev)
+		}
+		end = end + host + dev
+		if got := r.ExecutedSeconds(); got != end {
+			t.Errorf("step %d: executed = %.17g, want %.17g", i, got, end)
+		}
+	}
+}
+
 // TestRunnerHostBound: when the host chain dominates, it sets the pace.
 func TestRunnerHostBound(t *testing.T) {
 	r := &Runner{Mode: Overlap}

@@ -65,13 +65,15 @@ func (r *Runner) end() float64 {
 
 // Account places one step (hostSeconds of CPU-side build work, devSeconds
 // of transfers + kernels) on the executed timeline and returns the seconds
-// the timeline advanced — the step's executed cost.
+// the timeline advanced — the step's executed cost. A serial step returns
+// hostSeconds + devSeconds, whose bits do not depend on earlier steps.
 func (r *Runner) Account(hostSeconds, devSeconds float64) float64 {
 	prev := r.end()
 	if r.Mode == Serial {
 		hostDone := prev + hostSeconds
 		r.hostFree = hostDone
 		r.devFree = hostDone + devSeconds
+		return hostSeconds + devSeconds
 	} else {
 		hostDone := r.hostFree + hostSeconds
 		r.hostFree = hostDone
