@@ -231,34 +231,37 @@ func (p Profile) PipelinedSeconds() float64 {
 // (host work, transfers, kernel commands), and the per-CU device schedule of
 // the given kernel launches — each on its own trace process, so the paper's
 // pipelining argument (note 4: CPU builds step t+1's tree while the GPU
-// integrates step t) can be inspected end to end in one timeline.
+// integrates step t) can be inspected end to end in one timeline. A
+// windowed tracer (obs.Tracer.SetWindow) contributes the spans it still
+// holds, oldest first.
 func WriteMergedTrace(w io.Writer, tr *obs.Tracer, cfg gpusim.DeviceConfig, results ...*gpusim.Result) error {
 	events := tr.TraceEvents()
-	events = append(events, gpusim.TraceEvents(cfg, obs.PIDDeviceBase, results...)...)
 	meta := map[string]any{
 		"device": cfg.Name,
 	}
 	// When the run was correlated (job service, traced CLI run), surface the
 	// trace ids in the file metadata so a dump can be matched to its log
 	// lines and job status without opening the event stream.
-	if ids := traceIDs(tr); len(ids) > 0 {
+	if ids := traceIDs(events); len(ids) > 0 {
 		meta["trace_id"] = ids[0]
 		if len(ids) > 1 {
 			meta["trace_ids"] = ids
 		}
 	}
+	events = append(events, gpusim.TraceEvents(cfg, obs.PIDDeviceBase, results...)...)
 	return obs.WriteChromeTrace(w, meta, events)
 }
 
-// traceIDs collects the distinct distributed-trace ids present in the
-// tracer's spans, in first-appearance order.
-func traceIDs(tr *obs.Tracer) []string {
+// traceIDs collects the distinct distributed-trace ids the span events
+// carry, newest first: the trace of the last span recorded leads, since a
+// windowed tracer may have dropped the start of older ones.
+func traceIDs(events []obs.TraceEvent) []string {
 	var ids []string
 	seen := map[string]bool{}
-	for _, sp := range tr.Spans() {
-		if sp.TraceID != "" && !seen[sp.TraceID] {
-			seen[sp.TraceID] = true
-			ids = append(ids, sp.TraceID)
+	for i := len(events) - 1; i >= 0; i-- {
+		if id, _ := events[i].Args["trace_id"].(string); id != "" && !seen[id] {
+			seen[id] = true
+			ids = append(ids, id)
 		}
 	}
 	return ids

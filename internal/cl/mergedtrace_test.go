@@ -70,6 +70,31 @@ func TestWriteMergedTraceNilTracer(t *testing.T) {
 	}
 }
 
+// TestWriteMergedTraceLeadsWithNewestTrace: the metadata's trace_id names
+// the trace of the last span recorded, and trace_ids lists every trace the
+// spans carry, newest first.
+func TestWriteMergedTraceLeadsWithNewestTrace(t *testing.T) {
+	tr := obs.NewTracer()
+	older, newer := obs.NewTraceContext(), obs.NewTraceContext()
+	tr.Start("job 1", "serve").Trace(older).End()
+	tr.Start("untraced", "host").End()
+	tr.Start("job 2", "serve").Trace(newer).End()
+	tr.Start("step", "sim").ChildOf(older).End()
+	tr.Start("step", "sim").ChildOf(newer).End()
+	var buf bytes.Buffer
+	if err := WriteMergedTrace(&buf, tr, gpusim.TestDevice()); err != nil {
+		t.Fatal(err)
+	}
+	_, other := decodeTrace(t, buf.Bytes())
+	if other["trace_id"] != newer.TraceID {
+		t.Errorf("otherData trace_id = %v, want the newest trace %s", other["trace_id"], newer.TraceID)
+	}
+	ids, _ := other["trace_ids"].([]any)
+	if len(ids) != 2 || ids[0] != newer.TraceID || ids[1] != older.TraceID {
+		t.Errorf("otherData trace_ids = %v, want [%s %s]", other["trace_ids"], newer.TraceID, older.TraceID)
+	}
+}
+
 // TestWriteMergedTraceOverlappedSpans: two queues observed by one bundle
 // (as the devices of jw-parallel-xK are) produce modelled pipeline spans
 // that genuinely overlap on the timeline, and the merged trace preserves

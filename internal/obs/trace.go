@@ -52,9 +52,10 @@ func ThreadNameEvent(pid, tid int, name string) TraceEvent {
 	}
 }
 
-// TraceEvents converts the tracer's spans into Chrome trace events:
-// wall-clock spans under PIDHost, modelled spans under PIDPipeline, one
-// thread per distinct track (alphabetical tids, named via metadata events).
+// TraceEvents converts the tracer's spans, oldest first, into Chrome trace
+// events: wall-clock spans under PIDHost, modelled spans under PIDPipeline,
+// one thread per distinct track (alphabetical tids, named via metadata
+// events).
 func (t *Tracer) TraceEvents() []TraceEvent {
 	spans := t.Spans()
 	if len(spans) == 0 {

@@ -100,10 +100,12 @@ func (tc TraceContext) Child() TraceContext {
 	return TraceContext{TraceID: tc.TraceID, SpanID: NewSpanID()}
 }
 
-// ParseTraceParent parses a W3C traceparent header. It accepts any version
-// byte except ff (per spec, unknown versions are read as version 00 when the
-// tail matches) and ignores the trace-flags octet. ok is false for anything
-// malformed, including all-zero ids.
+// ParseTraceParent parses a W3C traceparent header. Version 00 has exactly
+// four fields. Any later version except ff may carry more after them (per
+// spec, unknown versions are read as version 00 when the first four fields
+// match). The trace-flags field must be two lowercase hex digits, and its
+// value is ignored. ok is false for anything malformed, including all-zero
+// ids.
 func ParseTraceParent(s string) (tc TraceContext, ok bool) {
 	s = strings.TrimSpace(s)
 	parts := strings.Split(s, "-")
@@ -111,7 +113,7 @@ func ParseTraceParent(s string) (tc TraceContext, ok bool) {
 		return TraceContext{}, false
 	}
 	ver, trace, span := parts[0], parts[1], parts[2]
-	if len(ver) != 2 || ver == "ff" || !isHexByte(ver) {
+	if !isHexByte(ver) || ver == "ff" || (ver == "00" && len(parts) != 4) || !isHexByte(parts[3]) {
 		return TraceContext{}, false
 	}
 	tc = TraceContext{TraceID: trace, SpanID: span}

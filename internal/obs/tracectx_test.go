@@ -45,17 +45,44 @@ func TestParseTraceParentRejectsMalformed(t *testing.T) {
 		"ff-" + strings.Repeat("a", 32) + "-" + strings.Repeat("b", 16) + "-01", // version ff
 		"00-" + strings.Repeat("A", 32) + "-" + strings.Repeat("b", 16) + "-01", // uppercase hex
 		"0-" + strings.Repeat("a", 32) + "-" + strings.Repeat("b", 16) + "-01",  // short version
+
+		// Version 00 has exactly four fields, with two lowercase hex digits
+		// of flags.
+		"00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("b", 16) + "-01-extra", // fifth field in version 00
+		"00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("b", 16) + "-zz",       // non-hex flags
+		"00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("b", 16) + "-",         // empty flags
+		"00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("b", 16) + "-0001",     // 4-character flags
 	}
 	for _, s := range bad {
 		if tc, ok := ParseTraceParent(s); ok {
 			t.Errorf("ParseTraceParent(%q) = %+v, want reject", s, tc)
 		}
 	}
-	// Future version with a well-formed tail parses (per W3C spec).
-	good := "01-" + strings.Repeat("a", 32) + "-" + strings.Repeat("b", 16) + "-00"
-	if _, ok := ParseTraceParent(good); !ok {
-		t.Errorf("ParseTraceParent(%q) rejected a future-version header", good)
+	// Future versions with a well-formed tail parse, extra fields included
+	// (per W3C spec).
+	for _, good := range []string{
+		"01-" + strings.Repeat("a", 32) + "-" + strings.Repeat("b", 16) + "-00",
+		"01-" + strings.Repeat("a", 32) + "-" + strings.Repeat("b", 16) + "-00-extra",
+	} {
+		if _, ok := ParseTraceParent(good); !ok {
+			t.Errorf("ParseTraceParent(%q) rejected a future-version header", good)
+		}
 	}
+}
+
+// FuzzParseTraceParent checks that the parser never panics and that every
+// header it accepts yields a usable trace context. Seeds live in
+// testdata/fuzz/FuzzParseTraceParent.
+func FuzzParseTraceParent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTraceParent(s)
+		if ok && !tc.Valid() {
+			t.Fatalf("ParseTraceParent(%q) = %+v, ok, but not Valid", s, tc)
+		}
+		if !ok && tc != (TraceContext{}) {
+			t.Fatalf("ParseTraceParent(%q) rejected the header but returned %+v", s, tc)
+		}
+	})
 }
 
 func TestChildKeepsTraceChangesSpan(t *testing.T) {

@@ -43,10 +43,18 @@ type SpanRecord struct {
 
 // Tracer collects spans. It is safe for concurrent use; a nil *Tracer is a
 // no-op, so instrumentation costs a nil check when tracing is disabled.
+//
+// A tracer keeps every span unless SetWindow bounds it to the most recent
+// ones, as a long-running service does so that its memory stays flat.
 type Tracer struct {
 	mu    sync.Mutex
 	epoch time.Time
-	spans []SpanRecord
+	// spans holds the finished spans in recording order, except that a
+	// windowed tracer reuses it as a ring once window spans are held: the
+	// oldest span then sits at head, and each new span overwrites it.
+	spans  []SpanRecord
+	window int
+	head   int
 }
 
 // NewTracer returns a tracer whose wall-clock epoch is now.
@@ -178,27 +186,69 @@ func (t *Tracer) AddModelled(name, category, track string, startSec, durSec floa
 
 func (t *Tracer) add(rec SpanRecord) {
 	t.mu.Lock()
-	t.spans = append(t.spans, rec)
+	if t.window > 0 && len(t.spans) == t.window {
+		t.spans[t.head] = rec
+		t.head = (t.head + 1) % t.window
+	} else {
+		t.spans = append(t.spans, rec)
+	}
 	t.mu.Unlock()
 }
 
-// Spans returns a copy of all finished spans in recording order.
+// ordered returns a copy of the held spans, oldest first. Callers hold t.mu.
+func (t *Tracer) ordered() []SpanRecord {
+	out := make([]SpanRecord, 0, len(t.spans))
+	out = append(out, t.spans[t.head:]...)
+	return append(out, t.spans[:t.head]...)
+}
+
+// Spans returns a copy of the finished spans in recording order: every span,
+// or the most recent ones under SetWindow.
 func (t *Tracer) Spans() []SpanRecord {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]SpanRecord(nil), t.spans...)
+	return t.ordered()
 }
 
-// Reset drops all recorded spans and restarts the wall-clock epoch.
+// SetWindow bounds the tracer to its n most recent spans: once it holds n,
+// each new span replaces the oldest. Spans already held beyond the newest n
+// are dropped. n <= 0 keeps every span, the default.
+func (t *Tracer) SetWindow(n int) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	spans := t.ordered()
+	if n > 0 && len(spans) > n {
+		spans = spans[len(spans)-n:]
+	}
+	t.spans, t.head, t.window = spans, 0, n
+}
+
+// Clone returns a tracer that holds a copy of t's spans, oldest first, on
+// t's epoch, and keeps every span recorded on it: a snapshot that spans
+// recorded on t later leave unchanged.
+func (t *Tracer) Clone() *Tracer {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return &Tracer{epoch: t.epoch, spans: t.ordered()}
+}
+
+// Reset drops all recorded spans and restarts the wall-clock epoch. A window
+// set by SetWindow stays.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.spans = nil
+	t.spans, t.head = nil, 0
 	t.epoch = time.Now()
 	t.mu.Unlock()
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -150,5 +151,118 @@ func TestTracerConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := len(tr.Spans()); got != 8*400 {
 		t.Fatalf("got %d spans, want %d", got, 8*400)
+	}
+}
+
+// spanNames returns the names of the tracer's spans, oldest first.
+func spanNames(tr *Tracer) []string {
+	var names []string
+	for _, sp := range tr.Spans() {
+		names = append(names, sp.Name)
+	}
+	return names
+}
+
+func TestTracerWindow(t *testing.T) {
+	tr := NewTracer()
+	for _, name := range []string{"a", "b", "c", "d", "e"} {
+		tr.Start(name, "host").End()
+	}
+	// Narrowing keeps the newest spans; each new span then drops the oldest.
+	tr.SetWindow(3)
+	if got := fmt.Sprint(spanNames(tr)); got != "[c d e]" {
+		t.Fatalf("after SetWindow(3): %s, want [c d e]", got)
+	}
+	for _, name := range []string{"f", "g", "h", "i"} {
+		tr.AddModelled(name, "kernel", "q", 0, 1, nil)
+	}
+	if got := fmt.Sprint(spanNames(tr)); got != "[g h i]" {
+		t.Fatalf("window of 3 after 4 more spans: %s, want [g h i]", got)
+	}
+	var events []string
+	for _, ev := range tr.TraceEvents() {
+		if ev.Phase == "X" {
+			events = append(events, ev.Name)
+		}
+	}
+	if got := fmt.Sprint(events); got != "[g h i]" {
+		t.Fatalf("trace events %s, want [g h i] oldest first", got)
+	}
+
+	// A clone is a snapshot: it keeps every span recorded on it, and spans
+	// recorded on the original later do not reach it.
+	c := tr.Clone()
+	c.Start("j", "host").End()
+	tr.Start("k", "host").End()
+	if got := fmt.Sprint(spanNames(c)); got != "[g h i j]" {
+		t.Fatalf("clone: %s, want [g h i j]", got)
+	}
+	if got := fmt.Sprint(spanNames(tr)); got != "[h i k]" {
+		t.Fatalf("original after clone: %s, want [h i k]", got)
+	}
+
+	// Reset keeps the window; widening keeps what is held.
+	tr.Reset()
+	for _, name := range []string{"l", "m", "n", "o"} {
+		tr.Start(name, "host").End()
+	}
+	tr.SetWindow(0)
+	tr.Start("p", "host").End()
+	if got := fmt.Sprint(spanNames(tr)); got != "[m n o p]" {
+		t.Fatalf("after Reset, 4 spans and SetWindow(0): %s, want [m n o p]", got)
+	}
+}
+
+// TestTracerWindowConcurrent records spans on a windowed tracer and
+// snapshots it from many goroutines at once, as the job service's engine
+// slots and HTTP handlers do. Every snapshot must hold at most the window,
+// and each writer's spans in it must be consecutive and in order.
+func TestTracerWindowConcurrent(t *testing.T) {
+	const writers, per, window = 8, 500, 64
+	tr := NewTracer()
+	tr.SetWindow(window)
+	check := func(spans []SpanRecord) error {
+		if len(spans) > window {
+			return fmt.Errorf("snapshot holds %d spans, window %d", len(spans), window)
+		}
+		last := map[any]int{}
+		for _, sp := range spans {
+			g, seq := sp.Args["g"], sp.Args["seq"].(int)
+			if prev, ok := last[g]; ok && seq != prev+1 {
+				return fmt.Errorf("writer %v: span %d follows %d", g, seq, prev)
+			}
+			last[g] = seq
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				tr.Start("s", "host").Arg("g", g).Arg("seq", i).End()
+				if i%50 == 0 {
+					if err := check(tr.Spans()); err != nil {
+						errs <- err
+						return
+					}
+					_ = tr.TraceEvents()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	spans := tr.Spans()
+	if len(spans) != window {
+		t.Fatalf("holds %d spans after %d, want the window %d", len(spans), writers*per, window)
+	}
+	if err := check(spans); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -479,11 +479,7 @@ func TestUploadedBodiesJob(t *testing.T) {
 
 func TestWatchdogViolationFailsWithoutRetry(t *testing.T) {
 	svc, pool := testService(t, 2, 4)
-	spec := quickJob(64, 50)
-	spec.SnapshotEvery = 1
-	spec.DT = 10 // absurd step: energy explodes immediately
-	spec.Tolerances = &ToleranceSpec{Energy: 1e-6}
-	st, err := svc.SubmitTraced(spec, obs.TraceContext{})
+	st, err := svc.SubmitTraced(haltingJob(), obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
