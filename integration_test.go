@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -190,7 +191,8 @@ func TestCommittedBenchDocumentsAreCurrent(t *testing.T) {
 // partial sums reorder the sum, so it gets a 1e-5 relative bound. A check of
 // kernel against reference cannot catch an edit made the same way to both,
 // so pp.Scalar's own accelerations are pinned per (scenario, N) as FNV-1a 64
-// over their float32 bits.
+// over their float32 bits. At N 64 and 333 the Hermite jerk path is checked
+// too (checkJerkPath).
 func TestPlansMatchReferencesOnEveryScenario(t *testing.T) {
 	scalarHash := map[string]uint64{
 		"plummer/64":     0xcc36c61d77aa8e05,
@@ -211,6 +213,13 @@ func TestPlansMatchReferencesOnEveryScenario(t *testing.T) {
 	}
 	params := pp.DefaultParams()
 	opt := bh.DefaultOptions()
+	// One jerk engine serves every scenario and N, so its grow-only buffers
+	// both grow and outsize the evaluation in hand.
+	jerkPlan, err := core.NewPlanByName("i-parallel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jerkEng := core.NewEngine(jerkPlan)
 	for _, scenario := range sim.ScenarioNames() {
 		for _, n := range []int{64, 333, 1000} {
 			key := fmt.Sprintf("%s/%d", scenario, n)
@@ -250,6 +259,56 @@ func TestPlansMatchReferencesOnEveryScenario(t *testing.T) {
 				default:
 					t.Fatalf("%s: no reference for plan type %T", name, plan)
 				}
+			}
+			if n < 1000 {
+				checkJerkPath(t, key, jerkEng, sys, params)
+			}
+		}
+	}
+}
+
+// checkJerkPath runs eng.AccelJerk on every body of sys, then on every 8th
+// body, and holds each active body's acceleration and jerk to pp.ScalarJerk
+// within 1e-5 relative error, the bound core's jerk unit tests use. The
+// j-parallel jerk kernel reorders the sum, so the bound is not bitwise.
+// Inactive slots must keep the sentinel written into them.
+func checkJerkPath(t *testing.T, key string, eng *core.Engine, sys *body.System, params pp.Params) {
+	t.Helper()
+	relErr := func(got, want vec.V3) float64 {
+		return float64(got.Sub(want).Norm()) / (float64(want.Norm()) + 1e-9)
+	}
+	sentinel := vec.V3{X: 7, Y: -7, Z: 7}
+	n := sys.N()
+	for _, stride := range []int{1, 8} {
+		var active []int
+		for i := 0; i < n; i += stride {
+			active = append(active, i)
+		}
+		want := sys.Clone()
+		wantJerk := make([]vec.V3, n)
+		pp.ScalarJerk(want, active, wantJerk, params)
+
+		got := sys.Clone()
+		jerk := make([]vec.V3, n)
+		for i := range jerk {
+			got.Acc[i], jerk[i] = sentinel, sentinel
+		}
+		if _, err := eng.AccelJerk(context.Background(), got, active, jerk); err != nil {
+			t.Fatalf("%s stride %d: AccelJerk: %v", key, stride, err)
+		}
+		isActive := make([]bool, n)
+		for _, i := range active {
+			isActive[i] = true
+			if e := relErr(got.Acc[i], want.Acc[i]); e > 1e-5 {
+				t.Errorf("%s stride %d: body %d acc %v, pp.ScalarJerk %v (rel %.3g)", key, stride, i, got.Acc[i], want.Acc[i], e)
+			}
+			if e := relErr(jerk[i], wantJerk[i]); e > 1e-5 {
+				t.Errorf("%s stride %d: body %d jerk %v, pp.ScalarJerk %v (rel %.3g)", key, stride, i, jerk[i], wantJerk[i], e)
+			}
+		}
+		for i := range jerk {
+			if !isActive[i] && (got.Acc[i] != sentinel || jerk[i] != sentinel) {
+				t.Errorf("%s stride %d: inactive body %d written: acc %v jerk %v", key, stride, i, got.Acc[i], jerk[i])
 			}
 		}
 	}

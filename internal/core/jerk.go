@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/body"
@@ -51,6 +52,14 @@ const jerkJGroup = 64
 // reference pp.ScalarJerk. The j-parallel kernel's strided partial sums and
 // tree reduction change the summation order, so it agrees only to rounding.
 // TestJerkKernelsBitwiseGolden pins both.
+//
+// Each evaluation makes one upload and one download, because the model
+// charges every PCIe transfer a fixed latency on top of its bytes. The input
+// buffer holds the padded positions+masses (4·nPad floats), then the padded
+// velocities (4·nPad), then the active index list (activePad), each index
+// stored as the raw bits of a float32 (OpenCL's as_int); the output buffer
+// holds the accelerations, then the jerks (4·activePad each). The kernels
+// see the regions as sub-slices (inputs, outputs).
 type jerkUnit struct {
 	params pp.Params
 	iGroup int
@@ -59,17 +68,11 @@ type jerkUnit struct {
 
 	nPad      int // sources padded to a multiple of iGroup
 	activePad int
-	bufPosM   *gpusim.Buffer
-	bufVel    *gpusim.Buffer
-	bufActive *gpusim.Buffer
-	bufAcc    *gpusim.Buffer
-	bufJerk   *gpusim.Buffer
+	bufIn     *gpusim.Buffer
+	bufOut    *gpusim.Buffer
 
-	hostPosM   []float32
-	hostVel    []float32
-	hostActive []int32
-	hostAcc    []float32
-	hostJerk   []float32
+	hostIn  []float32
+	hostOut []float32
 }
 
 // newJerkUnit builds the unit on the plan's context.
@@ -95,40 +98,43 @@ func (u *jerkUnit) selectPlan(activeN int) string {
 func (u *jerkUnit) ensureBuffers(n, activeN int) {
 	u.nPad = roundUp(n, u.iGroup)
 	u.activePad = roundUp(activeN, u.iGroup)
-	u.ensure("jerk.posm", &u.bufPosM, 4*u.nPad, true)
-	u.ensure("jerk.vel", &u.bufVel, 4*u.nPad, true)
-	u.ensure("jerk.active", &u.bufActive, u.activePad, false)
-	u.ensure("jerk.acc", &u.bufAcc, 4*u.activePad, true)
-	u.ensure("jerk.jerk", &u.bufJerk, 4*u.activePad, true)
+	u.ensure("jerk.in", &u.bufIn, 8*u.nPad+u.activePad, true)
+	u.ensure("jerk.out", &u.bufOut, 8*u.activePad, true)
+	u.hostIn = resize(u.hostIn, 8*u.nPad+u.activePad)
+	u.hostOut = resize(u.hostOut, 8*u.activePad)
+}
 
-	u.hostPosM = resize(u.hostPosM, 4*u.nPad)
-	u.hostVel = resize(u.hostVel, 4*u.nPad)
-	u.hostAcc = resize(u.hostAcc, 4*u.activePad)
-	u.hostJerk = resize(u.hostJerk, 4*u.activePad)
-	u.hostActive = resize(u.hostActive, u.activePad)
+// inputs splits an input buffer's backing store into the padded
+// positions+masses, the padded velocities and the active index list.
+func (u *jerkUnit) inputs(in []float32) (posm, vel, ids []float32) {
+	n4 := 4 * u.nPad
+	return in[:n4], in[n4 : 2*n4], in[2*n4 : 2*n4+u.activePad]
+}
+
+// outputs splits an output buffer's backing store into the accelerations
+// and the jerks.
+func (u *jerkUnit) outputs(out []float32) (acc, jerk []float32) {
+	a4 := 4 * u.activePad
+	return out[:a4], out[a4 : 2*a4]
 }
 
 // iKernel is the i-parallel jerk kernel: lane l of work-group gid serves
-// active body hostActive[gid*LocalSize+l] and runs the i mapping's tile loop
-// over all nPad sources, 7 floats per lane (x,y,z,m,vx,vy,vz). Padding lanes
-// recompute body hostActive[0] into padding output slots, which the host
-// never reads.
+// active body ids[gid*LocalSize+l] and runs the i mapping's tile loop over
+// all nPad sources, 7 floats per lane (x,y,z,m,vx,vy,vz). Padding lanes
+// recompute body ids[0] into padding output slots, which the host never
+// reads.
 func (u *jerkUnit) iKernel() gpusim.KernelFunc {
 	nPad := u.nPad
 	g := u.params.G
 	eps2 := u.params.Eps * u.params.Eps
-	posm, vel, idx := u.bufPosM, u.bufVel, u.bufActive
-	accOut, jerkOut := u.bufAcc, u.bufJerk
+	in, out := u.bufIn, u.bufOut
 
 	return func(grp *gpusim.Group) {
 		ls := grp.LocalSize()
 		base := grp.ID() * ls
 		lead := grp.Item(0)
-		ids := lead.RawGlobalI32(idx)
-		srcP := lead.RawGlobalF32(posm)
-		srcV := lead.RawGlobalF32(vel)
-		dstA := lead.RawGlobalF32(accOut)
-		dstJ := lead.RawGlobalF32(jerkOut)
+		srcP, srcV, ids := u.inputs(lead.RawGlobalF32(in))
+		dstA, dstJ := u.outputs(lead.RawGlobalF32(out))
 		px, py, pz := grp.LaneF32(0), grp.LaneF32(1), grp.LaneF32(2)
 		vx, vy, vz := grp.LaneF32(3), grp.LaneF32(4), grp.LaneF32(5)
 		ax, ay, az := grp.LaneF32(6), grp.LaneF32(7), grp.LaneF32(8)
@@ -137,7 +143,7 @@ func (u *jerkUnit) iKernel() gpusim.KernelFunc {
 		// Own index, position and velocity (coalesced across the group).
 		for l := 0; l < ls; l++ {
 			grp.Item(l).ChargeGlobal(4+16+12, 0)
-			i := int(ids[base+l])
+			i := int(math.Float32bits(ids[base+l]))
 			px[l], py[l], pz[l] = srcP[4*i], srcP[4*i+1], srcP[4*i+2]
 			vx[l], vy[l], vz[l] = srcV[4*i], srcV[4*i+1], srcV[4*i+2]
 		}
@@ -177,18 +183,14 @@ func (u *jerkUnit) jKernel() gpusim.KernelFunc {
 	nPad := u.nPad
 	g := u.params.G
 	eps2 := u.params.Eps * u.params.Eps
-	posm, vel, idx := u.bufPosM, u.bufVel, u.bufActive
-	accOut, jerkOut := u.bufAcc, u.bufJerk
+	in, out := u.bufIn, u.bufOut
 
 	return gpusim.PerItem(func(wi *gpusim.Item) {
 		k := wi.GroupID() // one work-group per active body
 		l := wi.LocalID()
 		ls := wi.LocalSize()
-		ids := wi.RawGlobalI32(idx)
-		srcP := wi.RawGlobalF32(posm)
-		srcV := wi.RawGlobalF32(vel)
-		dstA := wi.RawGlobalF32(accOut)
-		dstJ := wi.RawGlobalF32(jerkOut)
+		srcP, srcV, ids := u.inputs(wi.RawGlobalF32(in))
+		dstA, dstJ := u.outputs(wi.RawGlobalF32(out))
 		lds := wi.RawLDS()
 
 		// All lanes read body k's index and state; the hardware broadcasts
@@ -196,7 +198,7 @@ func (u *jerkUnit) jKernel() gpusim.KernelFunc {
 		if l == 0 {
 			wi.ChargeGlobal(4+16+12, 0)
 		}
-		i := int(ids[k])
+		i := int(math.Float32bits(ids[k]))
 		px, py, pz := srcP[4*i], srcP[4*i+1], srcP[4*i+2]
 		vx, vy, vz := srcV[4*i], srcV[4*i+1], srcV[4*i+2]
 
@@ -270,20 +272,17 @@ func (u *jerkUnit) eval(s *body.System, active []int, jerk []vec.V3) (*RunProfil
 
 	hostStart := time.Now() // repocheck:allow nodeterminism -- measured host wall time for perf attribution; modelled timings come from the launch results
 	u.ensureBuffers(n, activeN)
-	u.hostPosM = flattenPadded(s, u.nPad, u.hostPosM)
-	for i := range u.hostVel {
-		u.hostVel[i] = 0
+	posm, vel, ids := u.inputs(u.hostIn)
+	flattenPadded(s, u.nPad, posm) // in place: posm holds exactly 4·nPad floats
+	clear(vel)
+	for i, v := range s.Vel {
+		vel[4*i+0] = v.X
+		vel[4*i+1] = v.Y
+		vel[4*i+2] = v.Z
 	}
-	for i := range s.Vel {
-		u.hostVel[4*i+0] = s.Vel[i].X
-		u.hostVel[4*i+1] = s.Vel[i].Y
-		u.hostVel[4*i+2] = s.Vel[i].Z
-	}
-	for k := range u.hostActive {
-		u.hostActive[k] = 0
-	}
+	clear(ids) // +0.0 is index 0's bits
 	for k, i := range active {
-		u.hostActive[k] = int32(i)
+		ids[k] = math.Float32frombits(uint32(i))
 	}
 	hostWall := time.Since(hostStart).Seconds() // repocheck:allow nodeterminism -- measured host wall time for perf attribution; modelled timings come from the launch results
 
@@ -299,24 +298,21 @@ func (u *jerkUnit) eval(s *body.System, active []int, jerk []vec.V3) (*RunProfil
 		lp = gpusim.LaunchParams{Global: activeN * jerkJGroup, Local: jerkJGroup, LDSFloats: 6 * jerkJGroup}
 		interactions = int64(activeN) * int64(u.nPad)
 	}
-	// Upload the padded sources (positions+masses, velocities) and the
-	// active index list, launch the jerk kernel, download accelerations and
-	// jerks.
+	// Upload the padded sources and the active index list in one transfer,
+	// launch the jerk kernel, download accelerations and jerks in one.
 	u.begin()
-	u.writeF32(u.bufPosM, u.hostPosM)
-	u.writeF32(u.bufVel, u.hostVel)
-	u.writeI32(u.bufActive, u.hostActive)
+	u.writeF32(u.bufIn, u.hostIn)
 	u.launch("jerk."+plan, kernel, lp)
-	u.readF32(u.bufAcc, u.hostAcc)
-	u.readF32(u.bufJerk, u.hostJerk)
+	u.readF32(u.bufOut, u.hostOut)
 	rp, err := u.finishFlops("jerk:"+plan, n, interactions, interactions*pp.FlopsPerJerkInteraction, hostWall)
 	if err != nil {
 		return nil, err
 	}
 
+	acc, jk := u.outputs(u.hostOut)
 	for k, i := range active {
-		s.Acc[i] = vec.V3{X: u.hostAcc[4*k+0], Y: u.hostAcc[4*k+1], Z: u.hostAcc[4*k+2]}
-		jerk[i] = vec.V3{X: u.hostJerk[4*k+0], Y: u.hostJerk[4*k+1], Z: u.hostJerk[4*k+2]}
+		s.Acc[i] = vec.V3{X: acc[4*k+0], Y: acc[4*k+1], Z: acc[4*k+2]}
+		jerk[i] = vec.V3{X: jk[4*k+0], Y: jk[4*k+1], Z: jk[4*k+2]}
 	}
 
 	if u.obs != nil {

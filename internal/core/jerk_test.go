@@ -199,28 +199,34 @@ func (e *Engine) jerkGroupForTest() int {
 // (activeN >= ComputeUnits x iGroup = 4608): every body of Plummer(4608, 42)
 // runs i-parallel, and so does every body of Plummer(4700, 42), whose active
 // block pads to 4864 lanes; every 8th body of Plummer(1024, 42) runs
-// j-parallel. Each row holds FNV-1a 64 over the little-endian float32 bits
-// of each active body's acceleration then jerk, in active order, and the
-// modelled kernel seconds. The i-parallel kernel also matches pp.ScalarJerk
-// bit for bit; j-parallel does not, because its strided partial sums and
-// tree reduction change the summation order.
+// j-parallel, and so does every 8th body of Plummer(96, 42), the shape of a
+// Hermite block step at small N, where both the sources and the 12-body
+// active block pad to 256. Each row holds FNV-1a 64 over the little-endian
+// float32 bits of each active body's acceleration then jerk, in active
+// order, and the modelled kernel seconds. The i-parallel kernel also matches
+// pp.ScalarJerk bit for bit; j-parallel does not, because its strided
+// partial sums and tree reduction change the summation order.
+//
+// Every row also pins the padding and the two transfers: one upload of the
+// padded sources and the index list, 4·(8·nPad+activePad) bytes, and one
+// download of the accelerations and jerks, 32·activePad bytes.
 func TestJerkKernelsBitwiseGolden(t *testing.T) {
 	const (
-		uploads   = "upload write jerk.posm, upload write jerk.vel, upload write jerk.active, "
-		downloads = ", download read jerk.acc, download read jerk.jerk"
-		iCmds     = uploads + "kernel jerk.i-parallel" + downloads
-		jCmds     = uploads + "kernel jerk.j-parallel" + downloads
+		iCmds = "upload write jerk.in, kernel jerk.i-parallel, download read jerk.out"
+		jCmds = "upload write jerk.in, kernel jerk.j-parallel, download read jerk.out"
 	)
 	golden := []struct {
-		plan          string
-		n, stride     int
-		hash          uint64
-		kernelSeconds float64
-		cmds          string
+		plan            string
+		n, stride       int
+		nPad, activePad int
+		hash            uint64
+		kernelSeconds   float64
+		cmds            string
 	}{
-		{"i-parallel", 4608, 1, 0xb17bc3f04321c93f, 0.0010279406896551724, iCmds},
-		{"i-parallel", 4700, 1, 0xe8f835e50cc29d0e, 0.0021600510344827583, iCmds},
-		{"j-parallel", 1024, 8, 0x40fd605493335781, 4.7110068965517238e-05, jCmds},
+		{"i-parallel", 4608, 1, 4608, 4608, 0xb17bc3f04321c93f, 0.0010279406896551724, iCmds},
+		{"i-parallel", 4700, 1, 4864, 4864, 0xe8f835e50cc29d0e, 0.0021600510344827583, iCmds},
+		{"j-parallel", 1024, 8, 1024, 256, 0x40fd605493335781, 4.7110068965517238e-05, jCmds},
+		{"j-parallel", 96, 8, 256, 256, 0x9c67e9ea1c064f36, 1.6841758620689661e-05, jCmds},
 	}
 	params := pp.DefaultParams()
 	for _, g := range golden {
@@ -241,6 +247,9 @@ func TestJerkKernelsBitwiseGolden(t *testing.T) {
 		prof, err := u.eval(s, active, jerk)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if u.nPad != g.nPad || u.activePad != g.activePad {
+			t.Errorf("%s n=%d: nPad %d activePad %d, want %d and %d", g.plan, g.n, u.nPad, u.activePad, g.nPad, g.activePad)
 		}
 
 		const offset64, prime64 = 0xcbf29ce484222325, 0x1099511628211
@@ -263,6 +272,11 @@ func TestJerkKernelsBitwiseGolden(t *testing.T) {
 			t.Errorf("%s n=%d: KernelSeconds %.17g, want %.17g", g.plan, g.n, got, g.kernelSeconds)
 		}
 		checkCommands(t, fmt.Sprintf("jerk %s n=%d", g.plan, g.n), prof.Schedule, g.cmds)
+		dev := ctx.Device()
+		wantTransfer := dev.TransferSeconds(int64(4*(8*g.nPad+g.activePad))) + dev.TransferSeconds(int64(32*g.activePad))
+		if got := prof.Profile.TransferSeconds; math.Abs(got-wantTransfer) > 1e-12*wantTransfer {
+			t.Errorf("%s n=%d: TransferSeconds %.17g, want %.17g", g.plan, g.n, got, wantTransfer)
+		}
 
 		if g.plan != "i-parallel" {
 			continue

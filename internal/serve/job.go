@@ -253,8 +253,8 @@ func validScenarioName(name string) bool {
 // filling nothing in: defaults are applied at run time so the stored spec
 // stays what the client sent. Every error names the offending JSON field.
 func (s *JobSpec) Validate(lim Limits) error {
-	if s.SchemaVersion != 0 && s.SchemaVersion > JobSchemaVersion {
-		return fmt.Errorf("schema_version: unsupported version %d (this service speaks %d)", s.SchemaVersion, JobSchemaVersion)
+	if err := checkSchemaVersion(s.SchemaVersion); err != nil {
+		return err
 	}
 	if s.Plan == "" {
 		return fmt.Errorf("plan: missing")
@@ -353,6 +353,16 @@ func (s *JobSpec) Validate(lim Limits) error {
 	}
 	if strings.ContainsAny(s.Plan, " \t\n") {
 		return fmt.Errorf("plan: malformed plan %q", s.Plan)
+	}
+	return nil
+}
+
+// checkSchemaVersion rejects a JobSpec version this service cannot read: a
+// negative one, or one newer than JobSchemaVersion. Zero means unversioned,
+// which reads as version 1.
+func checkSchemaVersion(v int) error {
+	if v < 0 || v > JobSchemaVersion {
+		return fmt.Errorf("schema_version: unsupported version %d (this service speaks %d)", v, JobSchemaVersion)
 	}
 	return nil
 }
@@ -517,11 +527,15 @@ type specEnvelope struct {
 // DecodeJobSpec decodes and validates a JobSpec document. Version 2
 // documents decode directly; version 1 (or unversioned) documents decode
 // through the legacy shape and are upgraded on read, so existing clients
-// keep working unchanged.
+// keep working unchanged. Any other version is refused before either shape
+// is tried, since the upgrade would overwrite it.
 func DecodeJobSpec(data []byte, lim Limits) (JobSpec, error) {
 	var env specEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return JobSpec{}, fmt.Errorf("bad job spec: %w", err)
+	}
+	if err := checkSchemaVersion(env.SchemaVersion); err != nil {
+		return JobSpec{}, err
 	}
 	var spec JobSpec
 	if env.SchemaVersion <= 1 {
@@ -540,6 +554,11 @@ func DecodeJobSpec(data []byte, lim Limits) (JobSpec, error) {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
 			return spec, fmt.Errorf("bad job spec: %w", err)
+		}
+		// An empty bodies list is no bodies. Decode it as json.Marshal
+		// encodes it, absent, so the spec survives a round trip.
+		if sc := spec.Scenario; sc != nil && len(sc.Bodies) == 0 {
+			sc.Bodies = nil
 		}
 	}
 	if err := spec.Validate(lim); err != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime/metrics"
+	"strings"
 	"testing"
 	"time"
 
@@ -359,12 +360,53 @@ func TestJobSpecRejectsWrongSchemaVersion(t *testing.T) {
 	if _, err := DecodeJobSpec(data, Limits{}); err == nil {
 		t.Fatal("future schema_version accepted")
 	}
+
+	// A negative version is no version this service speaks. Read as v1, it
+	// would be upgraded to version 2 and accepted.
+	for _, doc := range []string{
+		`{"schema_version":-5,"plan":"i-parallel","steps":1,"dt":0.1,"workload":{"kind":"plummer","n":8}}`,
+		`{"schema_version":-1,"plan":"i-parallel","steps":1,"dt":0.1,"scenario":{"name":"plummer","n":8}}`,
+	} {
+		if _, err := DecodeJobSpec([]byte(doc), Limits{}); err == nil || !strings.HasPrefix(err.Error(), "schema_version:") {
+			t.Errorf("DecodeJobSpec(%s) = %v, want a schema_version: error", doc, err)
+		}
+	}
+	spec.SchemaVersion = -5
+	if err := spec.Validate(Limits{}); err == nil || !strings.HasPrefix(err.Error(), "schema_version:") {
+		t.Errorf("Validate of schema_version -5 = %v, want a schema_version: error", err)
+	}
 }
 
 func TestJobSpecRejectsUnknownFields(t *testing.T) {
 	if _, err := DecodeJobSpec([]byte(`{"plan":"i-parallel","steps":1,"dt":0.1,"workload":{"kind":"plummer","n":8},"stepz":9}`), Limits{}); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+}
+
+// FuzzDecodeJobSpec checks that decoding never panics, and that every spec
+// it accepts survives a round trip: re-encoded with json.Marshal, as the
+// version 2 document it now is, it decodes to an equal spec. For an upgraded
+// v1 document that makes the upgrade idempotent. Seeds live in
+// testdata/fuzz/FuzzDecodeJobSpec.
+func FuzzDecodeJobSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := DecodeJobSpec(data, Limits{})
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec %+v does not encode: %v", spec, err)
+		}
+		got, err := DecodeJobSpec(again, Limits{})
+		if err != nil {
+			t.Fatalf("accepted spec re-encoded as %s is rejected: %v", again, err)
+		}
+		if !reflect.DeepEqual(spec, got) {
+			t.Fatalf("round trip through %s changed the spec:\n in %+v\n    %#v\nout %+v\n    %#v",
+				again, spec, spec.Scenario, got, got.Scenario)
+		}
+	})
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
