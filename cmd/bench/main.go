@@ -8,9 +8,9 @@
 // BENCH document bit for bit (perf.Compare) and prints one line per leaf
 // that differs, naming the document, the point and the leaf:
 //
-//	bench -quick -out BENCH_smoke.json            # CI smoke sweep
-//	bench -baseline BENCH_BASELINE.json           # re-derive the baseline
-//	bench -out BENCH_BASELINE.json                # refresh the baseline
+//	bench -quick -pipeline overlap -baseline BENCH_BASELINE.json  # CI smoke sweep
+//	bench -baseline BENCH_BASELINE.json                           # re-derive the baseline
+//	bench -out BENCH_BASELINE.json                                # refresh the baseline
 //
 // Exit codes: 0 ok, 1 a gate failed, 2 usage / runtime error.
 package main

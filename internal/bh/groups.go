@@ -62,9 +62,11 @@ func (t *Tree) BuildWalks(groupCap int) (*WalkSet, error) {
 
 // buildListInto fills the interaction list of w by walking the tree against
 // the group's bounding box. The walk's own bodies enter the direct list
-// through their (always-opened) leaves, so no special casing is needed. The
-// traversal stack is caller-owned; the (possibly grown) stack is returned
-// so the Builder's walk construction reuses it without allocating per walk.
+// through their (always-opened) leaves, so no special casing is needed. A
+// leaf is never accepted as a pseudo-body, so the opening test runs at
+// internal cells only. The traversal stack is caller-owned; the (possibly
+// grown) stack is returned so the Builder's walk construction reuses it
+// without allocating per walk.
 func (t *Tree) buildListInto(w *Walk, stack []int32) ([]int32, error) {
 	theta2 := t.Opt.Theta * t.Opt.Theta
 	stack = stack[:0]
@@ -73,14 +75,13 @@ func (t *Tree) buildListInto(w *Walk, stack []int32) ([]int32, error) {
 		ni := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		nd := &t.Nodes[ni]
-		s := 2 * nd.Half
-		dmin2 := w.Bounds.Dist2(nd.COM)
-		if !nd.Leaf && s*s < theta2*dmin2 {
-			w.NodeList = append(w.NodeList, ni)
-			continue
-		}
 		if nd.Leaf {
 			w.DirectList = append(w.DirectList, t.Index[nd.First:nd.First+nd.Count]...)
+			continue
+		}
+		s := 2 * nd.Half
+		if s*s < theta2*w.Bounds.Dist2(nd.COM) {
+			w.NodeList = append(w.NodeList, ni)
 			continue
 		}
 		for _, ci := range nd.Children {

@@ -78,7 +78,7 @@ func (p *IParallel) kernel() gpusim.KernelFunc {
 		}
 
 		iTileLoop(grp, nPad/ls, 4, pp.FlopsPerInteraction,
-			func(j int, slot []float32) { copy(slot, src[4*j:4*j+4]) },
+			func(j int, slot []float32) { *(*[4]float32)(slot) = *(*[4]float32)(src[4*j:]) },
 			func(tile []float32) { pp.AccumulateTileLanes(px, py, pz, ax, ay, az, tile, eps2) })
 
 		// Store the result (padding lanes write padding slots).
@@ -97,29 +97,27 @@ func (p *IParallel) kernel() gpusim.KernelFunc {
 // force and jerk kernels: the group's lanes consume the sources in tiles of
 // LocalSize, width floats each. Per tile, each lane l stages source
 // t*LocalSize+l into its slot of local memory through stage, a barrier
-// follows, every lane is charged for the tile and one consume call folds
-// the whole tile into every lane's running sums, and a second barrier
-// follows. A staged source is charged as a coalesced global read and a
-// local write; a consumed tile as a local read of every source, flops
-// useful operations per source and two of loop control and address
-// arithmetic.
+// follows, one consume call folds the whole tile into every lane's running
+// sums, and a second barrier follows. A staged source is charged as a
+// coalesced global read and a local write; a consumed tile as a local read
+// of every source, flops useful operations per source and two of loop
+// control and address arithmetic. Every lane stages and consumes the same
+// amount in every tile, so each lane is charged once, for all the tiles.
 func iTileLoop(grp *gpusim.Group, tiles, width, flops int, stage func(j int, slot []float32), consume func(tile []float32)) {
 	ls := grp.LocalSize()
+	for l := 0; l < ls; l++ {
+		wi := grp.Item(l)
+		wi.ChargeGlobal(4*width*tiles, 0)
+		wi.ChargeLDS(4*width*tiles + 4*width*ls*tiles)
+		wi.Flops(flops * ls * tiles)
+		wi.Aux(2 * ls * tiles)
+	}
 	tile := grp.Item(0).RawLDS()[:width*ls]
 	for t := 0; t < tiles; t++ {
 		for l := 0; l < ls; l++ {
-			wi := grp.Item(l)
-			wi.ChargeGlobal(4*width, 0)
-			wi.ChargeLDS(4 * width)
 			stage(t*ls+l, tile[width*l:width*(l+1)])
 		}
 		grp.Barrier()
-		for l := 0; l < ls; l++ {
-			wi := grp.Item(l)
-			wi.ChargeLDS(4 * width * ls)
-			wi.Flops(flops * ls)
-			wi.Aux(2 * ls)
-		}
 		consume(tile)
 		grp.Barrier()
 	}

@@ -60,27 +60,33 @@ func jwKernel(b jwBuffers, g, eps2 float32, staged bool) gpusim.KernelFunc {
 			if staged {
 				// j-parallel within the walk: stage list tiles through
 				// local memory; every lane helps stage, active lanes
-				// consume.
-				for t := 0; t*ls < llen; t++ {
-					kmax := min(llen-t*ls, ls)
-					for l := 0; l < kmax; l++ {
-						wi := grp.Item(l)
-						idx := lists[base+t*ls+l]
-						wi.ChargeGlobal(4, 16) // coalesced index + gathered float4
-						wi.ChargeLDS(16)
-						lds[4*l+0] = src[4*idx+0]
-						lds[4*l+1] = src[4*idx+1]
-						lds[4*l+2] = src[4*idx+2]
-						lds[4*l+3] = src[4*idx+3]
+				// consume. Lane l stages entry l of each tile, so over
+				// the walk it stages llen/ls entries, one more when
+				// l < llen%ls, each a coalesced index, a gathered float4
+				// and a local write; every active lane reads every entry
+				// from local memory. The walk charges those totals once.
+				perLane, extra := llen/ls, llen%ls
+				for l := 0; l < ls; l++ {
+					k := perLane
+					if l < extra {
+						k++
+					}
+					wi := grp.Item(l)
+					wi.ChargeGlobal(4*k, 16*k)
+					wi.ChargeLDS(16 * k)
+					if l < active {
+						wi.ChargeLDS(16 * llen)
+						wi.Flops(pp.FlopsPerInteraction * llen)
+						wi.Aux(2 * llen)
+					}
+				}
+				for t := 0; t < llen; t += ls {
+					tile := lists[base+t : base+min(t+ls, llen)]
+					for l, idx := range tile {
+						*(*[4]float32)(lds[4*l:]) = *(*[4]float32)(src[4*idx:])
 					}
 					grp.Barrier()
-					for l := 0; l < active; l++ {
-						wi := grp.Item(l)
-						wi.ChargeLDS(16 * kmax)
-						wi.Flops(pp.FlopsPerInteraction * kmax)
-						wi.Aux(2 * kmax)
-					}
-					pp.AccumulateTileLanes(px[:active], py, pz, ax, ay, az, lds[:4*kmax], eps2)
+					pp.AccumulateTileLanes(px[:active], py, pz, ax, ay, az, lds[:4*len(tile)], eps2)
 					grp.Barrier()
 				}
 			} else {

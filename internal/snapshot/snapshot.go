@@ -20,6 +20,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/body"
@@ -78,7 +79,9 @@ func Write(w io.Writer, snap Snapshot) error {
 	return binary.Write(w, binary.LittleEndian, crc.Sum32())
 }
 
-// Read deserialises a snapshot from r, verifying the checksum.
+// Read deserialises a snapshot from r, verifying the checksum. It decodes
+// the bodies in chunks of readChunk, so the memory it holds grows with the
+// bytes actually read, not with the body count the header claims.
 func Read(r io.Reader) (Snapshot, error) {
 	crc := crc32.NewIEEE()
 	in := io.TeeReader(r, crc)
@@ -92,38 +95,35 @@ func Read(r io.Reader) (Snapshot, error) {
 	}
 	var n uint64
 	if err := binary.Read(in, binary.LittleEndian, &n); err != nil {
-		return Snapshot{}, err
+		return Snapshot{}, fmt.Errorf("snapshot: reading body count: %w", err)
 	}
-	// Bound the allocation a corrupt or malicious header can trigger
-	// (~1.8 GiB of body state at the cap).
+	// Bound what a corrupt or malicious header can ask for (~1.8 GiB of
+	// body state at the cap, allocated only as its bytes arrive).
 	const maxBodies = 1 << 26
 	if n > maxBodies {
 		return Snapshot{}, fmt.Errorf("snapshot: implausible body count %d", n)
 	}
 	var tm float64
 	if err := binary.Read(in, binary.LittleEndian, &tm); err != nil {
-		return Snapshot{}, err
+		return Snapshot{}, fmt.Errorf("snapshot: reading time: %w", err)
 	}
-	s := body.NewSystem(int(n))
-	readV3s := func(vs []vec.V3) error {
-		buf := make([]float32, 3*len(vs))
-		if err := binary.Read(in, binary.LittleEndian, buf); err != nil {
-			return err
-		}
-		for i := range vs {
-			vs[i] = vec.V3{X: buf[3*i+0], Y: buf[3*i+1], Z: buf[3*i+2]}
-		}
-		return nil
+	buf := make([]byte, 12*readChunk)
+	v3 := func(b []byte) vec.V3 {
+		return vec.V3{X: f32(b[0:]), Y: f32(b[4:]), Z: f32(b[8:])}
 	}
-	if err := readV3s(s.Pos); err != nil {
-		return Snapshot{}, err
+	pos, err := readRecords(in, int(n), 12, buf, v3)
+	if err != nil {
+		return Snapshot{}, fmt.Errorf("snapshot: reading positions: %w", err)
 	}
-	if err := readV3s(s.Vel); err != nil {
-		return Snapshot{}, err
+	vel, err := readRecords(in, int(n), 12, buf, v3)
+	if err != nil {
+		return Snapshot{}, fmt.Errorf("snapshot: reading velocities: %w", err)
 	}
-	if err := binary.Read(in, binary.LittleEndian, s.Mass); err != nil {
-		return Snapshot{}, err
+	mass, err := readRecords(in, int(n), 4, buf, f32)
+	if err != nil {
+		return Snapshot{}, fmt.Errorf("snapshot: reading masses: %w", err)
 	}
+	s := &body.System{Pos: pos, Vel: vel, Acc: make([]vec.V3, n), Mass: mass}
 	want := crc.Sum32()
 	var got uint32
 	if err := binary.Read(r, binary.LittleEndian, &got); err != nil {
@@ -137,6 +137,37 @@ func Read(r io.Reader) (Snapshot, error) {
 	}
 	return Snapshot{Time: tm, System: s}, nil
 }
+
+// readChunk is how many records Read decodes per read.
+const readChunk = 1 << 12
+
+// readRecords decodes n records of size bytes each from in, at most
+// len(buf)/size per read through buf. Its result at most doubles per read,
+// up to exactly n records, so a truncated input costs about as much memory
+// as it holds.
+func readRecords[T any](in io.Reader, n, size int, buf []byte, decode func([]byte) T) ([]T, error) {
+	per := len(buf) / size
+	out := make([]T, 0, min(n, per))
+	for len(out) < n {
+		k := min(n-len(out), per)
+		if cap(out)-len(out) < k {
+			grown := make([]T, len(out), min(n, max(2*cap(out), len(out)+k)))
+			copy(grown, out)
+			out = grown
+		}
+		b := buf[:k*size]
+		if _, err := io.ReadFull(in, b); err != nil {
+			return nil, err
+		}
+		for ; len(b) > 0; b = b[size:] {
+			out = append(out, decode(b))
+		}
+	}
+	return out, nil
+}
+
+// f32 decodes a little-endian float32.
+func f32(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }
 
 // Save writes a snapshot to a file (atomically: write to a temp file in the
 // same directory, then rename).

@@ -2,8 +2,10 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -113,6 +115,77 @@ func TestImplausibleCountRejected(t *testing.T) {
 		!strings.Contains(err.Error(), "implausible") {
 		t.Fatalf("huge count accepted: %v", err)
 	}
+}
+
+// TestLyingHeaderAllocatesLittle reads a header that claims 2^20 bodies
+// and holds none: Read must fail with a snapshot error, allocating for the
+// bytes it read rather than for the count.
+func TestLyingHeaderAllocatesLittle(t *testing.T) {
+	var buf bytes.Buffer
+	buf.Write(magic[:])
+	binary.Write(&buf, binary.LittleEndian, uint64(1<<20))
+	binary.Write(&buf, binary.LittleEndian, 0.5)
+	data := buf.Bytes()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.HasPrefix(err.Error(), "snapshot: ") {
+		t.Errorf("lying header: error %v, want a snapshot: error", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("lying header allocated %d bytes, want under 1 MiB", alloc)
+	}
+}
+
+// TestTruncationErrorsNameSnapshot cuts a snapshot inside every section:
+// each error says it is a snapshot's.
+func TestTruncationErrorsNameSnapshot(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, Snapshot{System: ic.Plummer(8, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < buf.Len(); cut++ {
+		_, err := Read(bytes.NewReader(buf.Bytes()[:cut]))
+		if err == nil || !strings.HasPrefix(err.Error(), "snapshot: ") {
+			t.Fatalf("cut at %d: error %v, want a snapshot: error", cut, err)
+		}
+	}
+}
+
+// FuzzSnapshotRead checks that Read never panics, that an accepted
+// snapshot writes back to the bytes it was read from, and that every
+// truncation and every single-bit flip of that encoding is rejected (large
+// encodings are sampled).
+func FuzzSnapshotRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, snap); err != nil {
+			t.Fatalf("accepted snapshot does not write: %v", err)
+		}
+		enc := buf.Bytes()
+		if !bytes.HasPrefix(data, enc) {
+			t.Fatalf("accepted snapshot of %d bodies writes back other bytes", snap.System.N())
+		}
+		for cut := 0; cut < len(enc); cut += 1 + len(enc)/256 {
+			if _, err := Read(bytes.NewReader(enc[:cut])); err == nil {
+				t.Fatalf("snapshot cut to %d of %d bytes accepted", cut, len(enc))
+			}
+		}
+		flipped := bytes.Clone(enc)
+		for bit := 0; bit < 8*len(enc); bit += 1 + len(enc)/256 {
+			flipped[bit/8] ^= 1 << (bit % 8)
+			if _, err := Read(bytes.NewReader(flipped)); err == nil {
+				t.Fatalf("snapshot with bit %d flipped accepted", bit)
+			}
+			flipped[bit/8] ^= 1 << (bit % 8)
+		}
+	})
 }
 
 func TestDirOf(t *testing.T) {

@@ -118,24 +118,26 @@ func (b AABB) MaxExtent() float32 {
 
 // Dist2 returns the squared distance from p to the closest point of the box
 // (zero when p is inside). It is the quantity used by the group-walk opening
-// criterion.
+// criterion. The squares are summed x, then y, then z; an axis on which p
+// lies inside the box (or that holds a NaN) adds +0, which leaves the
+// non-negative sum unchanged. Each square is converted explicitly, so no
+// architecture fuses it into the sum.
 func (b AABB) Dist2(p V3) float32 {
-	var d2 float32
-	for _, ax := range [3][3]float32{
-		{p.X, b.Min.X, b.Max.X},
-		{p.Y, b.Min.Y, b.Max.Y},
-		{p.Z, b.Min.Z, b.Max.Z},
-	} {
-		v, lo, hi := ax[0], ax[1], ax[2]
-		if v < lo {
-			d := lo - v
-			d2 += d * d
-		} else if v > hi {
-			d := v - hi
-			d2 += d * d
-		}
+	dx := gap(p.X, b.Min.X, b.Max.X)
+	dy := gap(p.Y, b.Min.Y, b.Max.Y)
+	dz := gap(p.Z, b.Min.Z, b.Max.Z)
+	return float32(dx*dx) + float32(dy*dy) + float32(dz*dz)
+}
+
+// gap returns how far v lies outside [lo, hi], or 0 inside it.
+func gap(v, lo, hi float32) float32 {
+	if v < lo {
+		return lo - v
 	}
-	return d2
+	if v > hi {
+		return v - hi
+	}
+	return 0
 }
 
 func min32(a, b float32) float32 {
